@@ -19,15 +19,14 @@ import (
 )
 
 // admin is the opt-in operator surface of rapd: metrics exposition,
-// liveness/readiness, the structural trace, the accuracy audit, the
-// flight recorder (history, alerts, statusz, diagnostic bundles), and
+// liveness/readiness, spans and structural events, the accuracy audit,
+// the flight recorder (history, alerts, statusz, diagnostic bundles), and
 // pprof. Nothing here mutates the data plane (/audit runs an extra audit
 // pass, which only touches the audit's own shadow state), so binding it
 // to a trusted interface is the only access control it needs.
 type admin struct {
 	in      *ingest.Ingestor
 	reg     *obs.Registry
-	strace  *obs.StructuralTrace
 	tracer  *span.Tracer           // nil unless request tracing is wired
 	aQuery  *obs.AdaptiveHistogram // adaptive "query" stage profile; nil in bare tests
 	aud     *audit.Auditor         // nil unless -audit
@@ -44,7 +43,6 @@ type admin struct {
 //	/metrics.json  the same registry as one JSON document
 //	/healthz       process liveness, with the named health checks attached
 //	/readyz        200 only while every health check passes
-//	/trace         sampled structural events as JSONL
 //	/audit         a fresh accuracy-audit pass as JSON (404 without -audit)
 //	/v1/estimate   lower bound + certified bracket for ?lo=&hi= (epoch-served)
 //	/v1/hotranges  hot ranges at ?theta= (epoch-served)
@@ -52,7 +50,9 @@ type admin struct {
 //	               (all /v1 answers carry X-RAP-Epoch-Seq/-Cut staleness
 //	               headers, honor an inbound traceparent, stamp one on the
 //	               response, and return 429 while admission is at Siege)
-//	/spans         recorded request spans as JSONL (?trace=, ?name=, ?slow=1, ?limit=)
+//	/spans         recorded spans and structural events (tree.split,
+//	               audit.violation, admit.level, ...) as JSONL
+//	               (?trace=, ?name=<prefix>, ?slow=1, ?limit=)
 //	/profilez      adaptive per-stage latency profiles with span exemplars
 //	/vars          flight-recorder windowed series queries
 //	/alerts        alert rule states as JSON
@@ -92,9 +92,6 @@ func (a *admin) handler() http.Handler {
 		}
 		writeStatus(w, code, map[string]any{"status": status, "checks": checks})
 	})
-	if a.strace != nil {
-		mux.Handle("/trace", a.strace)
-	}
 	mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) {
 		if a.aud == nil {
 			writeStatus(w, http.StatusNotFound, map[string]any{
@@ -193,7 +190,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // path label stays low-cardinality.
 func normalizePath(p string) string {
 	switch p {
-	case "/metrics", "/metrics.json", "/healthz", "/readyz", "/trace", "/audit",
+	case "/metrics", "/metrics.json", "/healthz", "/readyz", "/audit",
 		"/v1/estimate", "/v1/hotranges", "/v1/stats", "/spans", "/profilez",
 		"/vars", "/alerts", "/statusz", "/debug/bundle":
 		return p
@@ -348,7 +345,6 @@ func (a *admin) bundleConfig() flight.BundleConfig {
 		Registry:        a.reg,
 		Recorder:        a.rec,
 		Engine:          a.eng,
-		Trace:           a.strace,
 		EffectiveConfig: a.effCfg,
 	}
 	if a.tracer != nil {

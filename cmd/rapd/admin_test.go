@@ -16,6 +16,7 @@ import (
 
 	"rap/internal/ingest"
 	"rap/internal/obs"
+	"rap/internal/span"
 	"rap/internal/trace"
 )
 
@@ -131,9 +132,9 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	strace := obs.NewStructuralTrace(1, 1<<14)
+	tracer := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
 	opts.Metrics = reg
-	opts.StructuralTrace = strace
+	opts.Tracer = tracer
 	specs, err := c.specs(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := &admin{in: in, reg: reg, strace: strace, ckEvery: time.Hour, start: time.Now()}
+	a := &admin{in: in, reg: reg, tracer: tracer, ckEvery: time.Hour, start: time.Now()}
 	addr, stop, err := serveAdmin("127.0.0.1:0", a, discardLogger())
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +173,10 @@ func TestAdminEndToEnd(t *testing.T) {
 		t.Fatalf("/metrics content type %q", ct)
 	}
 	s1 := parseProm(t, body)
-	if kind := s1.types[obs.MetricTreeSplits]; kind != "counter" {
-		t.Fatalf("%s typed %q, want counter", obs.MetricTreeSplits, kind)
+	if kind := s1.types[ingest.MetricTreeSplits]; kind != "counter" {
+		t.Fatalf("%s typed %q, want counter", ingest.MetricTreeSplits, kind)
 	}
-	if got := s1.sumFamily(obs.MetricTreeSplits); got != float64(st.Splits) || got == 0 {
+	if got := s1.sumFamily(ingest.MetricTreeSplits); got != float64(st.Splits) || got == 0 {
 		t.Fatalf("splits over all shards = %v, stats say %d", got, st.Splits)
 	}
 	if got := s1.sumFamily("rap_ingest_applied_total"); got != float64(len(vals)) {
@@ -218,26 +219,38 @@ func TestAdminEndToEnd(t *testing.T) {
 	for _, m := range doc.Metrics {
 		names[m.Name] = true
 	}
-	if !names[obs.MetricTreeSplits] || !names["rap_checkpoint_written_total"] {
+	if !names[ingest.MetricTreeSplits] || !names["rap_checkpoint_written_total"] {
 		t.Fatalf("JSON exposition families %v missing expected names", names)
 	}
 
-	// Structural trace serves JSONL split/merge decisions.
-	code, body, _ = get(t, base+"/trace")
-	if code != http.StatusOK {
-		t.Fatalf("/trace = %d", code)
+	// Split/merge decisions are span events on /spans; /trace is gone.
+	if code, _, _ := get(t, base+"/trace"); code != http.StatusNotFound {
+		t.Fatalf("/trace = %d, want 404", code)
 	}
-	lines := 0
+	code, body, _ = get(t, base+"/spans?name=tree.")
+	if code != http.StatusOK {
+		t.Fatalf("/spans = %d", code)
+	}
+	kinds := map[string]int{}
 	scanner := bufio.NewScanner(strings.NewReader(body))
 	for scanner.Scan() {
-		var ev obs.StructuralEvent
-		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
-			t.Fatalf("trace line not JSON: %v: %s", err, scanner.Text())
+		var rec span.Record
+		if err := json.Unmarshal(scanner.Bytes(), &rec); err != nil {
+			t.Fatalf("span line not JSON: %v: %s", err, scanner.Text())
 		}
-		lines++
+		kinds[rec.Name]++
+		attrs := map[string]string{}
+		for _, a := range rec.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		for _, k := range []string{"shard", "lo", "hi", "depth", "count", "threshold", "n"} {
+			if attrs[k] == "" {
+				t.Fatalf("%s event missing attribute %q: %s", rec.Name, k, scanner.Text())
+			}
+		}
 	}
-	if lines == 0 {
-		t.Fatal("trace endpoint returned no events")
+	if kinds["tree.split"] == 0 || len(kinds) > 2 {
+		t.Fatalf("/spans?name=tree. returned %v, want tree.split (and tree.merge) events", kinds)
 	}
 
 	if code, _, _ := get(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {

@@ -474,7 +474,10 @@ func TestDumpBundleOnExit(t *testing.T) {
 		t.Fatalf("no bundle at exit: %v\n%s", err, out.String())
 	}
 	entries := untarBundle(t, raw)
-	for _, want := range []string{"meta.json", "config.json", "metrics.prom", "metrics_history.json", "alerts.json", "trace.jsonl", "spans.jsonl", "profile.json", "audit.json"} {
+	if _, ok := entries["trace.jsonl"]; ok {
+		t.Error("exit bundle still carries trace.jsonl; split/merge events live in spans.jsonl")
+	}
+	for _, want := range []string{"meta.json", "config.json", "metrics.prom", "metrics_history.json", "alerts.json", "spans.jsonl", "profile.json", "audit.json"} {
 		if _, ok := entries[want]; !ok {
 			t.Errorf("exit bundle missing %s (has %v)", want, len(entries))
 		}

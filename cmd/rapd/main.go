@@ -14,24 +14,27 @@
 //
 // With -admin, rapd serves its observability plane over HTTP: /metrics
 // (Prometheus text) and /metrics.json, /healthz and /readyz (structured
-// checks keyed on source liveness and checkpoint freshness), /trace
-// (sampled split/merge structural events as JSONL), the versioned query
-// API /v1/estimate, /v1/hotranges, and /v1/stats (answers served
-// lock-free from the latest published epoch, with staleness headers and
-// 429s while admission is at Siege), /spans (recorded request spans as
-// JSONL; /v1 requests honor an inbound W3C traceparent header and stamp
-// one on the response), /profilez (RAP-tree adaptive latency profiles
-// per pipeline stage, with span exemplars and a fixed-ladder
-// comparison), /vars (flight-recorder metric history with windowed
-// queries), /alerts (the in-process alert rules), /statusz (a
-// human-readable status page, including the slow-op log), /debug/bundle
-// (a one-shot gzipped-tar diagnostic bundle), and /debug/pprof. The
+// checks keyed on source liveness and checkpoint freshness), the
+// versioned query API /v1/estimate, /v1/hotranges, and /v1/stats
+// (answers served lock-free from the latest published epoch, with
+// staleness headers and 429s while admission is at Siege), /spans
+// (recorded spans and structural events — tree.split, tree.merge,
+// audit.violation, admit.level — as JSONL; /v1 requests honor an inbound
+// W3C traceparent header and stamp one on the response), /profilez
+// (RAP-tree adaptive latency profiles per pipeline stage, with span
+// exemplars and a fixed-ladder comparison), /vars (flight-recorder
+// metric history with windowed queries), /alerts (the in-process alert
+// rules), /statusz (a human-readable status page, including the slow-op
+// log), /debug/bundle (a one-shot gzipped-tar diagnostic bundle), and
+// /debug/pprof. The
 // flight recorder scrapes the registry every -flight-every into a
 // bounded in-memory ring of -flight-depth delta-compressed frames.
 // Request tracing samples 1 in -span-sample traces end to end through
 // enqueue, queue wait, shard apply, merge batches, epoch publish, and
-// checkpoint cut/write; spans slower than -slow-op are always recorded,
-// and while any alert fires every span is recorded.
+// checkpoint cut/write, and 1 in -span-sample split/merge decisions;
+// spans slower than -slow-op are always recorded, as are audit verdicts
+// and admission level changes, and while any alert fires every span is
+// recorded.
 //
 // Trace-file and generator sources are replayable, so crash recovery is
 // lossless for them. Stdin is a one-shot stream: events between the last
@@ -88,11 +91,9 @@ type cliConfig struct {
 	maxRetries      int
 	statsEvery      time.Duration
 
-	admin       string // admin HTTP address, "" = disabled
-	traceSample uint64 // structural trace sampling: keep 1 in N decisions
-	traceCap    int    // structural trace ring capacity
+	admin string // admin HTTP address, "" = disabled
 
-	spanSample uint64        // request-span head sampling: keep 1 in N traces
+	spanSample uint64        // span head sampling: keep 1 in N traces and events
 	spanCap    int           // span ring capacity
 	slowOp     time.Duration // slow-op promotion threshold (0: disabled)
 
@@ -154,11 +155,9 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.DurationVar(&c.readTimeout, "read-timeout", 30*time.Second, "per-read stall timeout (0: disabled)")
 	fs.IntVar(&c.maxRetries, "max-retries", 5, "consecutive failures before a source is abandoned")
 	fs.DurationVar(&c.statsEvery, "stats-every", 10*time.Second, "stats logging cadence (0: disabled)")
-	fs.StringVar(&c.admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /readyz, /trace, /vars, /alerts, /statusz, /debug/bundle, pprof (empty: disabled)")
-	fs.Uint64Var(&c.traceSample, "trace-sample", 64, "structural trace sampling: record 1 in N split/merge decisions")
-	fs.IntVar(&c.traceCap, "trace-cap", 4096, "structural trace ring capacity, in events")
-	fs.Uint64Var(&c.spanSample, "span-sample", 100, "request-span head sampling: keep 1 in N traces with all their child spans")
-	fs.IntVar(&c.spanCap, "span-cap", 4096, "request-span ring capacity, in spans")
+	fs.StringVar(&c.admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /readyz, /spans, /vars, /alerts, /statusz, /debug/bundle, pprof (empty: disabled)")
+	fs.Uint64Var(&c.spanSample, "span-sample", 100, "span head sampling: keep 1 in N traces with all their child spans, and 1 in N split/merge events")
+	fs.IntVar(&c.spanCap, "span-cap", 4096, "span ring capacity, in spans and events")
 	fs.DurationVar(&c.slowOp, "slow-op", 100*time.Millisecond, "record any span at least this long regardless of sampling (0: disabled)")
 	fs.DurationVar(&c.flightEvery, "flight-every", time.Second, "flight recorder scrape cadence")
 	fs.IntVar(&c.flightDepth, "flight-depth", 900, "flight recorder history depth, in scrapes (depth x cadence of retained history)")
@@ -368,14 +367,11 @@ func run(ctx context.Context, c cliConfig, out io.Writer) error {
 
 	// The observability plane is built only when the admin endpoint is
 	// requested, keeping the uninstrumented daemon's hot path hook-free.
-	var strace *obs.StructuralTrace
 	var tracer *span.Tracer
 	var engPtr atomic.Pointer[flight.Engine]
 	if c.admin != "" {
 		opts.Metrics = obs.NewRegistry()
 		obs.RegisterRuntime(opts.Metrics)
-		strace = obs.NewStructuralTrace(c.traceSample, c.traceCap)
-		opts.StructuralTrace = strace
 		// The tracer must exist before Open so ingest threads spans through
 		// the pipeline, but its Force hook watches the alert engine, which
 		// is only built after Open. The atomic pointer bridges the gap: a
@@ -431,7 +427,6 @@ func run(ctx context.Context, c cliConfig, out io.Writer) error {
 		a = &admin{
 			in:      in,
 			reg:     opts.Metrics,
-			strace:  strace,
 			tracer:  tracer,
 			aQuery:  aQuery,
 			aud:     in.Auditor(),
@@ -528,8 +523,6 @@ func (c cliConfig) effective() map[string]any {
 		"read_timeout":     c.readTimeout.String(),
 		"max_retries":      c.maxRetries,
 		"admin":            c.admin,
-		"trace_sample":     c.traceSample,
-		"trace_cap":        c.traceCap,
 		"span_sample":      c.spanSample,
 		"span_cap":         c.spanCap,
 		"slow_op":          c.slowOp.String(),

@@ -205,10 +205,6 @@ func summarize(out io.Writer, entries map[string][]byte) error {
 		fmt.Fprintf(out, "\nhistory: %d series, %d points, %v span\n", len(h.Series), points, span)
 	}
 
-	if body, ok := entries["trace.jsonl"]; ok {
-		n := strings.Count(string(body), "\n")
-		fmt.Fprintf(out, "trace: %d structural events\n", n)
-	}
 	if body, ok := entries["spans.jsonl"]; ok {
 		spans, slow := 0, 0
 		traces := map[string]struct{}{}

@@ -60,19 +60,22 @@ func engineTable() []engineSpec {
 			},
 		},
 		{
+			// The engine rap.WithConcurrent builds: Sharded at one shard,
+			// where Add and AddBatch land on the same tree, so batches
+			// must match sequential Add exactly.
 			name:       "ConcurrentTree",
-			make:       func(t *testing.T) rap.Profiler { return mustProfiler[*rap.ConcurrentTree](t)(rap.NewConcurrent(cfg)) },
+			make:       func(t *testing.T) rap.Profiler { return mustProfiler[rap.Profiler](t)(rap.New(concurrentOpts(cfg)...)) },
 			exactBatch: true,
 			snapshot: func(t *testing.T, p rap.Profiler) []byte {
-				data, err := p.(*rap.ConcurrentTree).Snapshot()
+				data, err := p.(*rap.Sharded).Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
 				return data
 			},
 			restore: func(t *testing.T, data []byte) rap.Profiler {
-				fresh := mustProfiler[*rap.ConcurrentTree](t)(rap.NewConcurrent(cfg))
-				if err := fresh.(*rap.ConcurrentTree).Restore(data); err != nil {
+				fresh := mustProfiler[rap.Profiler](t)(rap.New(concurrentOpts(cfg)...))
+				if err := fresh.(*rap.Sharded).Restore(data); err != nil {
 					t.Fatal(err)
 				}
 				return fresh
@@ -104,6 +107,17 @@ func engineTable() []engineSpec {
 				return fresh
 			},
 		},
+	}
+}
+
+// concurrentOpts selects the concurrent engine over confConfig's
+// settings through the functional options.
+func concurrentOpts(cfg rap.Config) []rap.Option {
+	return []rap.Option{
+		rap.WithUniverseBits(cfg.UniverseBits),
+		rap.WithEpsilon(cfg.Epsilon),
+		rap.WithFirstMerge(cfg.FirstMerge),
+		rap.WithConcurrent(),
 	}
 }
 

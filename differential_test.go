@@ -41,7 +41,7 @@ func diffEngines(t *testing.T, cfg rap.Config) map[string]rap.Profiler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := rap.NewConcurrent(cfg)
+	conc, err := rap.NewSharded(cfg, 1) // what rap.WithConcurrent builds
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,14 +88,20 @@ func main() {
 	fmt.Printf("\nband estimate: between %d and %d events (true: ~%d)\n", lo, hi, 2*n/5)
 
 	// Snapshots round-trip, so profiles can be shipped and post-processed.
+	// WithConcurrent builds the sharded engine at one shard, so a fresh
+	// one-shard engine restores the blob.
 	blob, err := w.Snapshot()
 	if err != nil {
 		log.Fatal(err)
 	}
-	var restored rap.Tree
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	back, err := rap.NewSharded(p.(*rap.Sharded).Config(), 1)
+	if err != nil {
 		log.Fatal(err)
 	}
+	if err := back.Restore(blob); err != nil {
+		log.Fatal(err)
+	}
+	restored := back.MergedTree()
 	fmt.Printf("\nsnapshot: %d bytes; restored tree sees %d events\n", len(blob), restored.N())
 	fmt.Printf("split threshold is eps*n/H = %.0f events\n", restored.SplitThreshold())
 

@@ -21,8 +21,8 @@
 // Normal -> Defensive -> Siege — and doubles it further under sustained
 // arena pressure at Siege ("period doubling under pressure"), then
 // de-escalates one level at a time with hysteresis once the signals stay
-// calm. Level transitions are logged, recorded in the structural trace
-// ring, and exported as rap_admit_* metrics.
+// calm. Level transitions are logged, recorded as always-kept span
+// events, and exported as rap_admit_* metrics.
 //
 // Concurrency contract: per-shard Gates run under their shard's lock and
 // never take another lock unconditionally (the controller mutex is only
@@ -35,11 +35,13 @@ package admit
 import (
 	"log/slog"
 	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"rap/internal/core"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // Level is a degradation level of the admission frontend.
@@ -160,9 +162,10 @@ type Options struct {
 
 	// Logger, when set, receives level-transition logs.
 	Logger *slog.Logger
-	// Trace, when set, records level transitions with RecordAlways (they
-	// must never be sampled away). See the field mapping on recordLevel.
-	Trace *obs.StructuralTrace
+	// Trace, when set, records level transitions and Siege period
+	// doublings as always-kept span events (they must never be sampled
+	// away); see recordLevel.
+	Trace *span.Tracer
 }
 
 func (o Options) withDefaults() Options {
@@ -522,7 +525,7 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 		if cur == Siege && arena >= f.opts.ArenaHardBytes {
 			if p := f.period.Load(); p < f.opts.MaxPeriod {
 				f.period.Store(p << 1)
-				f.recordLevel(cur, arena, rate, offeredTotal, "admit_period_double")
+				f.recordLevel("admit.period_double", cur, arena, rate, offeredTotal)
 			}
 		}
 	}
@@ -549,24 +552,22 @@ func (f *Frontend) setLevelLocked(to Level, arena int64, rate float64, offered u
 			"period", f.period.Load(),
 			"arena_bytes", arena, "churn_per_1k", rate, "offered", offered)
 	}
-	f.recordLevel(to, arena, rate, offered, "admit_level")
+	f.recordLevel("admit.level", to, arena, rate, offered)
 }
 
-// recordLevel writes a level event into the structural trace ring,
-// reusing the split/merge event fields: Count carries the new level, Lo
-// the arena bytes, Threshold the churn rate per 1000, N the offered
-// weight at decision time.
-func (f *Frontend) recordLevel(to Level, arena int64, rate float64, offered uint64, op string) {
+// recordLevel records a watchdog decision as an always-kept span event
+// carrying the state it was taken on.
+func (f *Frontend) recordLevel(name string, level Level, arena int64, rate float64, offered uint64) {
 	if f.opts.Trace == nil {
 		return
 	}
-	f.opts.Trace.RecordAlways(obs.StructuralEvent{
-		Op:        op,
-		Count:     uint64(to),
-		Lo:        uint64(arena),
-		Threshold: rate,
-		N:         offered,
-	})
+	f.opts.Trace.EventAlways(name,
+		span.Attr{Key: "level", Value: level.String()},
+		span.Attr{Key: "period", Value: strconv.FormatUint(f.period.Load(), 10)},
+		span.Attr{Key: "arena_bytes", Value: strconv.FormatInt(arena, 10)},
+		span.Attr{Key: "churn_per_1k", Value: strconv.FormatFloat(rate, 'g', -1, 64)},
+		span.Attr{Key: "offered", Value: strconv.FormatUint(offered, 10)},
+	)
 }
 
 // Stats is a point-in-time summary of the frontend.

@@ -6,6 +6,7 @@ import (
 
 	"rap/internal/core"
 	"rap/internal/obs"
+	"rap/internal/span"
 	"rap/internal/trace"
 	"rap/internal/workload"
 )
@@ -170,6 +171,7 @@ func TestPeriodDoublingUnderArenaPressure(t *testing.T) {
 	// watchdog lives at Siege with the hard signal pinned.
 	opts.ArenaSoftBytes = 1
 	opts.ArenaHardBytes = 2
+	opts.Trace = span.New(span.Options{SampleRate: 1 << 60, SlowThreshold: -1})
 	fe := New(opts)
 	tr := gatedTree(t, fe)
 	src := workload.Flood(7)
@@ -187,6 +189,28 @@ func TestPeriodDoublingUnderArenaPressure(t *testing.T) {
 	}
 	if st.Period > fe.Options().MaxPeriod {
 		t.Fatalf("period = %d exceeds MaxPeriod %d", st.Period, fe.Options().MaxPeriod)
+	}
+
+	// Both decisions are always-kept span events despite a head rate that
+	// keeps nothing, named attributes and all.
+	names := map[string]int{}
+	for _, r := range opts.Trace.SlowOps() {
+		names[r.Name]++
+		attrs := map[string]string{}
+		for _, a := range r.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		for _, k := range []string{"level", "period", "arena_bytes", "churn_per_1k", "offered"} {
+			if attrs[k] == "" {
+				t.Fatalf("%s event missing %q: %+v", r.Name, k, r)
+			}
+		}
+		if r.Name == "admit.period_double" && attrs["level"] != Siege.String() {
+			t.Fatalf("period doubled at level %q", attrs["level"])
+		}
+	}
+	if names["admit.level"] != int(st.LevelChanges) || names["admit.period_double"] == 0 {
+		t.Fatalf("events %v, want %d admit.level and some admit.period_double", names, st.LevelChanges)
 	}
 }
 

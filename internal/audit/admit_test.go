@@ -113,18 +113,8 @@ func TestAuditCertifiesArbitraryAdmitter(t *testing.T) {
 // notice the regression and rebase rather than certify or false-alarm.
 func TestLedgerLossFaultRebases(t *testing.T) {
 	cfg := testConfig(64)
-	c, err := core.NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fe := admit.New(admit.Options{Seed: 4})
-	c.SetAdmitter(fe.Gates(cfg.UniverseBits, 1)[0])
-	a := New(testOptions())
-	taps, err := a.Attach(cfg, c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetTap(taps[0])
+	c, a := concurrentAudited(t, cfg, fe.Gates(cfg.UniverseBits, 1)[0])
 
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 40_000; i++ {

@@ -63,9 +63,9 @@
 // Comparing truth captured at one instant against estimates computed at
 // another would fabricate violations out of in-flight events. Audit
 // therefore reads truth and estimates under one cut: engines exposing
-// MergedTreeCut (sharded) or CloneCut (concurrent) run the truth capture
-// while all tree locks are held; plain trees are assumed externally
-// serialized, per their own contract.
+// MergedTreeCut (the sharded engine, at any shard count) run the truth
+// capture while all tree locks are held; plain trees are assumed
+// externally serialized, per their own contract.
 package audit
 
 import (
@@ -78,6 +78,7 @@ import (
 	"rap/internal/core"
 	"rap/internal/exact"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // Defaults for Options fields left zero.
@@ -129,17 +130,16 @@ func (o Options) withDefaults() Options {
 
 // Estimator is the query surface the audit checks: any engine answering
 // range queries over a stream of known length. Engines additionally
-// exposing MergedTreeCut or CloneCut (the sharded engine and
-// ConcurrentTree) are audited under a consistent cut; a bare Estimator is
-// assumed externally serialized against ingest during Audit.
+// exposing MergedTreeCut (the sharded engine) are audited under a
+// consistent cut; a bare Estimator is assumed externally serialized
+// against ingest during Audit.
 type Estimator interface {
 	N() uint64
 	EstimateBounds(lo, hi uint64) (low, high uint64)
 }
 
 // unadmittedEstimator is optionally implemented by engines carrying an
-// admission gate's refused-weight ledger (core.Tree, core.ConcurrentTree,
-// shard.Engine). The taps observe the offered stream — including weight
+// admission gate's refused-weight ledger (core.Tree, shard.Engine). The taps observe the offered stream — including weight
 // the gate refuses — so the audit's mass accounting must add the ledger
 // to the tree's credited mass wherever the two are compared.
 type unadmittedEstimator interface {
@@ -254,7 +254,7 @@ type Auditor struct {
 	mRebases    *obs.Counter
 	mPasses     *obs.Counter
 	mRatio      *obs.Histogram
-	trace       *obs.StructuralTrace
+	tracer      *span.Tracer
 }
 
 // New builds an Auditor with the given options. The auditor is inert
@@ -271,7 +271,7 @@ func (a *Auditor) Options() Options { return a.opts }
 // Attach wires the auditor to an estimator: cfg must be the engine's
 // tree configuration, shards the number of independent taps to mint (1
 // for unsharded engines). It returns one core.Tap per shard, to be
-// installed via Tree.SetTap / ConcurrentTree.SetTap / Engine.SetShardTaps.
+// installed via Tree.SetTap or Engine.SetShardTaps.
 // Stream mass already in the estimator becomes baseN: pre-attach mass is
 // slack, never truth, so attaching to a warm engine is sound. An auditor
 // attaches exactly once.

@@ -8,6 +8,7 @@ import (
 	"rap/internal/core"
 	"rap/internal/obs"
 	"rap/internal/shard"
+	"rap/internal/span"
 )
 
 func testConfig(ub int) core.Config {
@@ -179,8 +180,7 @@ func TestShardedEngineConcurrent(t *testing.T) {
 	e.SetShardTaps(func(i int) core.Tap { return taps[i] })
 
 	reg := obs.NewRegistry()
-	trace := obs.NewStructuralTrace(1, 256)
-	a.Register(reg, trace)
+	a.Register(reg, span.New(span.Options{SampleRate: 1, SlowThreshold: -1}))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -261,8 +261,8 @@ func TestBrokenEstimatorCaught(t *testing.T) {
 	}
 	tr.SetTap(taps[0])
 	reg := obs.NewRegistry()
-	trace := obs.NewStructuralTrace(1000, 64) // heavy sampling: violations must still land
-	a.Register(reg, trace)
+	tracer := span.New(span.Options{SampleRate: 1000, SlowThreshold: -1}) // heavy sampling: violations must still land
+	a.Register(reg, tracer)
 
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50_000; i++ {
@@ -278,29 +278,41 @@ func TestBrokenEstimatorCaught(t *testing.T) {
 	if got := reg.Counter(MetricAuditViolations, "").Value(); got == 0 {
 		t.Fatal("violations counter still 0")
 	}
-	found := false
-	for _, ev := range trace.Events() {
-		if ev.Op == TraceOpViolation {
-			found = true
+	for what, recs := range map[string][]span.Record{"span ring": tracer.Spans(), "slow-op log": tracer.SlowOps()} {
+		found := false
+		for _, r := range recs {
+			if r.Name == SpanViolation && len(r.Attrs) > 0 {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatal("no audit_violation event in the trace ring")
+		if !found {
+			t.Fatalf("no %s event in the %s", SpanViolation, what)
+		}
 	}
 }
 
-func TestRestoreTriggersRebase(t *testing.T) {
-	cfg := testConfig(24)
-	c, err := core.NewConcurrent(cfg)
+// concurrentAudited builds the one-shard engine rap.WithConcurrent uses,
+// tapped for a fresh auditor.
+func concurrentAudited(t *testing.T, cfg core.Config, adm core.Admitter) (*shard.Engine, *Auditor) {
+	t.Helper()
+	c, err := shard.New(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if adm != nil {
+		c.SetShardAdmitters(func(int) core.Admitter { return adm })
 	}
 	a := New(testOptions())
 	taps, err := a.Attach(cfg, c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTap(taps[0])
+	c.SetShardTaps(func(int) core.Tap { return taps[0] })
+	return c, a
+}
+
+func TestRestoreTriggersRebase(t *testing.T) {
+	c, a := concurrentAudited(t, testConfig(24), nil)
 	for i := 0; i < 20_000; i++ {
 		c.Add(uint64(i % 4096))
 	}
@@ -401,16 +413,7 @@ func TestShardRestoreAndAdoptRebase(t *testing.T) {
 
 func TestConcurrentMergeRebases(t *testing.T) {
 	cfg := testConfig(24)
-	c, err := core.NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(testOptions())
-	taps, err := a.Attach(cfg, c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetTap(taps[0])
+	c, a := concurrentAudited(t, cfg, nil)
 	for i := 0; i < 5_000; i++ {
 		c.Add(uint64(i % 512))
 	}

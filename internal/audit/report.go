@@ -2,10 +2,12 @@ package audit
 
 import (
 	"math"
+	"strconv"
 
 	"rap/internal/core"
 	"rap/internal/exact"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 // Audit metric names.
@@ -23,10 +25,10 @@ const (
 	MetricAuditTruthValues = "rap_audit_truth_values"
 )
 
-// Trace ring ops emitted by the audit.
+// Span event names emitted by the audit.
 const (
-	TraceOpViolation = "audit_violation"
-	TraceOpNearBound = "audit_near_bound"
+	SpanViolation = "audit.violation"
+	SpanNearBound = "audit.near_bound"
 )
 
 // RatioBuckets is the ladder for the underestimate/(ε·n) ratio histogram:
@@ -97,12 +99,12 @@ type Report struct {
 	Verdict string `json:"verdict"`
 }
 
-// Register wires the auditor's metrics into reg and its violation events
-// into tr (either may be nil to skip that sink). Call once, before audit
-// traffic. Gauge families read from the last completed pass; counters
-// accumulate across passes.
-func (a *Auditor) Register(reg *obs.Registry, tr *obs.StructuralTrace) {
-	a.trace = tr
+// Register wires the auditor's metrics into reg and its violation and
+// near-bound events into tr, as always-kept span events (either may be
+// nil to skip that sink). Call once, before audit traffic. Gauge families
+// read from the last completed pass; counters accumulate across passes.
+func (a *Auditor) Register(reg *obs.Registry, tr *span.Tracer) {
+	a.tracer = tr
 	if reg == nil {
 		return
 	}
@@ -177,19 +179,16 @@ func (a *Auditor) Report() (Report, bool) {
 	return Report{}, false
 }
 
-// cut primitives optionally implemented by the estimator. Both run the
-// capture callback while every engine lock is held, handing it the tree
-// the checks will query.
+// mergedCutter is the cut primitive optionally implemented by the
+// estimator: it runs the capture callback while every engine lock is
+// held, handing it the tree the checks will query.
 type mergedCutter interface {
 	MergedTreeCut(capture func(m *core.Tree)) *core.Tree
-}
-type cloneCutter interface {
-	CloneCut(capture func(t *core.Tree)) *core.Tree
 }
 
 // Audit runs one pass: capture truth under a consistent cut, compare the
 // tree's answers for every audited range against it, update metrics and
-// the trace ring, and publish the Report. Passes are serialized; drive it
+// the span tracer, and publish the Report. Passes are serialized; drive it
 // from a ticker (internal/ingest), an admin endpoint (rapd /audit), or
 // directly from tests. It must not be called from inside a tap.
 func (a *Auditor) Audit() (Report, error) {
@@ -206,9 +205,9 @@ func (a *Auditor) Audit() (Report, error) {
 		defer a.adoptMu.Unlock()
 		var n, unadm uint64
 		if m != nil {
-			// A merged or cloned cut tree carries the summed unadmitted
-			// ledger of the trees it was cut from (Merge adds it, Clone
-			// copies it), so both reads describe one instant.
+			// A merged cut tree carries the summed unadmitted ledger of the
+			// trees it was cut from (Merge adds it), so both reads describe
+			// one instant.
 			n = m.N()
 			unadm = m.UnadmittedN()
 		} else {
@@ -280,12 +279,9 @@ func (a *Auditor) Audit() (Report, error) {
 	// (when there is one) is private to this pass, so the checks below run
 	// with no engine lock held.
 	var cutTree *core.Tree
-	switch e := a.est.(type) {
-	case mergedCutter:
+	if e, ok := a.est.(mergedCutter); ok {
 		cutTree = e.MergedTreeCut(capture)
-	case cloneCutter:
-		cutTree = e.CloneCut(capture)
-	default:
+	} else {
 		capture(nil)
 	}
 
@@ -350,7 +346,7 @@ func (a *Auditor) Audit() (Report, error) {
 
 // check applies the three soundness checks to one range row (see the
 // package comment for why each can only fire on a genuine contract
-// break) and records violation / near-bound events in the trace ring.
+// break) and records violation / near-bound events on the span tracer.
 // The ratio reported (and near-bound gated) is against the paper's ε·n;
 // the violation itself is against the certified budget.
 func (a *Auditor) check(r *RangeReport, n uint64, epsN, budget float64) {
@@ -371,25 +367,23 @@ func (a *Auditor) check(r *RangeReport, n uint64, epsN, budget float64) {
 		r.Violation = true
 		r.Reason = "underestimate exceeds certified budget"
 	}
-	ev := obs.StructuralEvent{
-		Lo:        r.Lo,
-		Hi:        r.Hi,
-		Count:     r.Truth,
-		Threshold: epsN,
-		N:         n,
+	if a.tracer == nil || (!r.Violation && r.Ratio < a.opts.NearRatio) {
+		return
 	}
-	switch {
-	case r.Violation:
-		if a.trace != nil {
-			ev.Op = TraceOpViolation
-			a.trace.RecordAlways(ev)
-		}
-	case r.Ratio >= a.opts.NearRatio:
-		if a.trace != nil {
-			ev.Op = TraceOpNearBound
-			a.trace.RecordAlways(ev)
-		}
+	attrs := []span.Attr{
+		{Key: "lo", Value: strconv.FormatUint(r.Lo, 10)},
+		{Key: "hi", Value: strconv.FormatUint(r.Hi, 10)},
+		{Key: "truth", Value: strconv.FormatUint(r.Truth, 10)},
+		{Key: "estimate", Value: strconv.FormatUint(r.Estimate, 10)},
+		{Key: "high", Value: strconv.FormatUint(r.High, 10)},
+		{Key: "eps_n", Value: strconv.FormatFloat(epsN, 'g', -1, 64)},
+		{Key: "n", Value: strconv.FormatUint(n, 10)},
 	}
+	if !r.Violation {
+		a.tracer.EventAlways(SpanNearBound, attrs...)
+		return
+	}
+	a.tracer.EventAlways(SpanViolation, append(attrs, span.Attr{Key: "reason", Value: r.Reason})...)
 }
 
 func (a *Auditor) fillTotals(rep *Report) {

@@ -153,33 +153,3 @@ func TestLedgerMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("bounds drifted across marshal: (%d,%d) vs (%d,%d)", low0, high0, low1, high1)
 	}
 }
-
-func TestConcurrentTreeAdmitterSurvivesRestore(t *testing.T) {
-	cfg := DefaultConfig()
-	ct, err := NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct.SetAdmitter(denyOdd{})
-	for i := uint64(0); i < 100; i++ {
-		ct.Add(i)
-	}
-	if ct.UnadmittedN() != 50 {
-		t.Fatalf("ledger %d, want 50", ct.UnadmittedN())
-	}
-	blob, err := ct.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	if ct.UnadmittedN() != 50 {
-		t.Fatalf("ledger lost across restore: %d, want 50", ct.UnadmittedN())
-	}
-	// The admitter must still gate the restored tree.
-	ct.Add(1)
-	if ct.UnadmittedN() != 51 {
-		t.Fatalf("admitter not reinstalled after restore: ledger %d, want 51", ct.UnadmittedN())
-	}
-}

@@ -5,9 +5,9 @@ package core
 // to land in the same leaf range. The batch entry points exploit that with
 // a one-entry last-leaf cache — when the next event is covered by the leaf
 // the previous event landed in, the root-to-leaf descent is skipped
-// entirely. Queue drains (internal/ingest), the concurrent wrapper, and
-// the sharded engine all hand the tree chunks through these entry points
-// instead of one event at a time.
+// entirely. Queue drains (internal/ingest) and the sharded engine hand
+// the tree chunks through these entry points instead of one event at a
+// time.
 
 // Sample is one weighted event of a batch: the shape queue drains hand the
 // tree (a trace.Event without the package dependency).

@@ -180,38 +180,3 @@ func TestCloneDoesNotShareLeafCache(t *testing.T) {
 		t.Fatalf("clone lost events: Total=%d N=%d", clone.Total(), clone.N())
 	}
 }
-
-// TestConcurrentRestoreDropsLeafCache covers the wrapper path: a
-// ConcurrentTree that batched before Restore must keep batching correctly
-// after, against a fresh control fed the same way.
-func TestConcurrentRestoreDropsLeafCache(t *testing.T) {
-	cfg := batchTestConfig()
-	donor := MustNew(cfg)
-	donor.AddBatch(skewedPoints(10, 20_000))
-	snap := mustMarshal(t, donor)
-
-	ct, err := NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct.AddBatch(skewedPoints(11, 20_000))
-	if err := ct.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	cont := skewedPoints(12, 20_000)
-	ct.AddBatch(cont)
-
-	control := MustNew(cfg)
-	if err := control.UnmarshalBinary(snap); err != nil {
-		t.Fatal(err)
-	}
-	control.AddBatch(cont)
-
-	snapCT, err := ct.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapCT, mustMarshal(t, control)) {
-		t.Fatal("ConcurrentTree diverged from control after Restore")
-	}
-}

@@ -5,17 +5,17 @@ import (
 	"time"
 )
 
-// DefaultPublishEvery is the fallback publish cadence for epoch read
-// snapshots: a fresh epoch is cut after this much offered event weight
-// even if no merge batch ran in between. 64Ki events keeps worst-case
-// staleness small relative to any realistic merge interval while making
-// the clone cost (one slab copy) a rounding error per event.
+// DefaultPublishEvery is the default publish cadence for epoch read
+// snapshots: a fresh epoch is cut after this much offered event weight.
+// 64Ki events keeps worst-case staleness small relative to any realistic
+// merge interval while making the clone cost (one slab copy) a rounding
+// error per event.
 const DefaultPublishEvery = 1 << 16
 
 // Epoch is one immutable published snapshot of a profile: a read-only
 // clone of the tree cut at a known point in the stream, served without
-// any locks. Epochs are produced by an EpochPublisher (see
-// ConcurrentTree.EnableReadSnapshots and the sharded engine); queries on
+// any locks. Epochs are produced by an EpochPublisher (see the sharded
+// engine's EnableReadSnapshots); queries on
 // an Epoch touch only the frozen clone, so they never contend with
 // ingest.
 //
@@ -36,8 +36,8 @@ type Epoch struct {
 	pub         *EpochPublisher // nil for detached epochs
 }
 
-// NewDetachedEpoch wraps a standalone tree (typically a fresh CloneCut)
-// as an epoch outside any publisher: sequence 0, Release is a no-op.
+// NewDetachedEpoch wraps a standalone tree (typically a fresh cut or
+// clone) as an epoch outside any publisher: sequence 0, Release is a no-op.
 // Facade Reader() falls back to this when read snapshots are disabled,
 // so callers get one consistent-cut API either way.
 func NewDetachedEpoch(t *Tree) *Epoch {
@@ -110,9 +110,8 @@ func (e *Epoch) maybeRetire() {
 // multi-query consistency (Acquire/Release). Superseded epochs are
 // retired once their reader count drains.
 //
-// Publish must be externally serialized (it is called under the writer's
-// lock on the concurrent engine, and under a publish mutex on the
-// sharded engine); everything else is safe from any goroutine.
+// Publish must be externally serialized (the sharded engine calls it
+// under its publish mutex); everything else is safe from any goroutine.
 type EpochPublisher struct {
 	cur       atomic.Pointer[Epoch]
 	seq       atomic.Uint64

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"testing"
-	"time"
-)
+import "testing"
 
 func epochTestTree(points ...uint64) *Tree {
 	t := MustNew(testConfig(16, 2, 0.05))
@@ -87,244 +80,5 @@ func TestDetachedEpoch(t *testing.T) {
 	e.Release()
 	if got := e.N(); got != 3 {
 		t.Fatalf("N after release = %d, want 3", got)
-	}
-}
-
-func TestConcurrentTreeReaderMatchesCloneCut(t *testing.T) {
-	c, err := NewConcurrent(testConfig(20, 2, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableReadSnapshots(1 << 10)
-	for i := uint64(0); i < 50_000; i++ {
-		c.Add(i * 2654435761 % (1 << 20))
-	}
-	// Quiesced: a fresh publish and a clone cut describe the same state.
-	c.Publisher().Publish(c.CloneCut(nil))
-	e := c.Reader()
-	defer e.Release()
-	cut := c.CloneCut(nil)
-	if e.N() != cut.N() {
-		t.Fatalf("epoch N = %d, clone cut N = %d", e.N(), cut.N())
-	}
-	for _, r := range [][2]uint64{{0, 1 << 20}, {0, 1 << 10}, {1 << 19, 1 << 20}, {12345, 12345}} {
-		el, eh := e.EstimateBounds(r[0], r[1])
-		cl, ch := cut.EstimateBounds(r[0], r[1])
-		if el != cl || eh != ch {
-			t.Fatalf("bounds differ on [%d,%d]: epoch (%d,%d) vs cut (%d,%d)", r[0], r[1], el, eh, cl, ch)
-		}
-		if e.Estimate(r[0], r[1]) != cut.Estimate(r[0], r[1]) {
-			t.Fatalf("estimate differs on [%d,%d]", r[0], r[1])
-		}
-	}
-	eh := e.HotRanges(0.01)
-	ch := cut.HotRanges(0.01)
-	if len(eh) != len(ch) {
-		t.Fatalf("hot ranges differ: %d vs %d", len(eh), len(ch))
-	}
-	for i := range eh {
-		if eh[i] != ch[i] {
-			t.Fatalf("hot range %d differs: %+v vs %+v", i, eh[i], ch[i])
-		}
-	}
-}
-
-// TestConcurrentTreeEpochHammer publishes at an aggressive cadence while
-// queriers hold pinned epochs across sub-queries; run under -race this
-// exercises the pin/retire protocol end to end.
-func TestConcurrentTreeEpochHammer(t *testing.T) {
-	cfg := testConfig(20, 2, 0.05)
-	cfg.FirstMerge = 64 // merge (and therefore publish) often
-	c, err := NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableReadSnapshots(256)
-
-	const writers = 4
-	const each = 30_000
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				c.Add(uint64(w*each+i) * 2654435761 % (1 << 20))
-			}
-		}(w)
-	}
-	var stop atomic.Bool
-	var qwg sync.WaitGroup
-	for q := 0; q < 4; q++ {
-		qwg.Add(1)
-		go func() {
-			defer qwg.Done()
-			var lastSeq uint64
-			for !stop.Load() {
-				e := c.Reader()
-				if e == nil {
-					t.Error("Reader returned nil with snapshots enabled")
-					return
-				}
-				if s := e.Seq(); s < lastSeq {
-					t.Errorf("epoch seq went backwards: %d after %d", s, lastSeq)
-					e.Release()
-					return
-				} else {
-					lastSeq = s
-				}
-				// A pinned epoch is frozen: N must not move between reads.
-				n1 := e.N()
-				lo, hi := e.EstimateBounds(0, 1<<20)
-				if lo > hi {
-					t.Errorf("bounds inverted: %d > %d", lo, hi)
-				}
-				if n2 := e.N(); n2 != n1 {
-					t.Errorf("pinned epoch N moved: %d -> %d", n1, n2)
-				}
-				e.HotRanges(0.05)
-				e.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	stop.Store(true)
-	qwg.Wait()
-
-	if c.N() != writers*each {
-		t.Fatalf("N = %d, want %d", c.N(), writers*each)
-	}
-	p := c.Publisher()
-	if p.Published() < 2 {
-		t.Fatalf("only %d epochs published under merge-heavy load", p.Published())
-	}
-	if p.Pinned() != 0 {
-		t.Fatalf("%d pins leaked", p.Pinned())
-	}
-}
-
-// TestConcurrentTreeQueryPathLockFree proves queries never touch the
-// writer mutex once snapshots are on: the test holds the mutex and the
-// query must still answer.
-func TestConcurrentTreeQueryPathLockFree(t *testing.T) {
-	c, err := NewConcurrent(testConfig(16, 2, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 10_000; i++ {
-		c.Add(i % 1000)
-	}
-	c.EnableReadSnapshots(1 << 16)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.Estimate(0, 1<<16)
-		c.EstimateBounds(0, 1<<16)
-		c.HotRanges(0.01)
-		e := c.Reader()
-		e.Stats()
-		e.Release()
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("query blocked on the writer mutex: read path is not lock-free")
-	}
-}
-
-// TestQueryPathMutexProfile runs the contended write+query mix with
-// mutex profiling at full fraction and asserts no recorded contention
-// stack passes through the epoch query path.
-func TestQueryPathMutexProfile(t *testing.T) {
-	old := runtime.SetMutexProfileFraction(1)
-	defer runtime.SetMutexProfileFraction(old)
-
-	c, err := NewConcurrent(testConfig(20, 2, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableReadSnapshots(512)
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50_000; i++ {
-				c.Add(uint64(w*50_000+i) % (1 << 20))
-			}
-		}(w)
-	}
-	var qwg sync.WaitGroup
-	for q := 0; q < 4; q++ {
-		qwg.Add(1)
-		go func() {
-			defer qwg.Done()
-			for !stop.Load() {
-				c.Estimate(0, 1<<19)
-				c.HotRanges(0.05)
-			}
-		}()
-	}
-	wg.Wait()
-	stop.Store(true)
-	qwg.Wait()
-
-	var records []runtime.BlockProfileRecord
-	for {
-		n, ok := runtime.MutexProfile(records)
-		if ok {
-			records = records[:n]
-			break
-		}
-		records = make([]runtime.BlockProfileRecord, n+64)
-	}
-	for _, rec := range records {
-		frames := runtime.CallersFrames(rec.Stack())
-		for {
-			f, more := frames.Next()
-			name := f.Function
-			if strings.Contains(name, "ConcurrentTree).Estimate") ||
-				strings.Contains(name, "ConcurrentTree).EstimateBounds") ||
-				strings.Contains(name, "ConcurrentTree).HotRanges") ||
-				strings.Contains(name, "Epoch).") ||
-				strings.Contains(name, "EpochPublisher).Acquire") {
-				t.Fatalf("mutex contention recorded on the query path: %s", name)
-			}
-			if !more {
-				break
-			}
-		}
-	}
-}
-
-func TestConcurrentTreeRestoreRepublishes(t *testing.T) {
-	c, err := NewConcurrent(testConfig(16, 2, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 5_000; i++ {
-		c.Add(i % 512)
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := NewConcurrent(testConfig(16, 2, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.EnableReadSnapshots(1 << 16)
-	if err := c2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	e := c2.Reader()
-	defer e.Release()
-	if e.N() != 5_000 {
-		t.Fatalf("restored epoch N = %d, want 5000 (restore did not republish)", e.N())
 	}
 }

@@ -125,31 +125,3 @@ func TestEstimateHookTiming(t *testing.T) {
 		t.Fatal("estimate hook fired after removal")
 	}
 }
-
-// TestConcurrentTreeHooksSurviveRestore checks the wrapper reinstalls
-// hooks on the fresh tree a Restore builds.
-func TestConcurrentTreeHooksSurviveRestore(t *testing.T) {
-	ct, err := NewConcurrent(hookTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var splits int
-	ct.SetHooks(&Hooks{Split: func(SplitEvent) { splits++ }})
-	for i := 0; i < 20_000; i++ {
-		ct.Add(uint64(i) & 0xffff)
-	}
-	snap, err := ct.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ct.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	before := splits
-	for i := 0; i < 200_000; i++ {
-		ct.Add(uint64(i*2654435761) & 0xffff)
-	}
-	if splits == before {
-		t.Fatal("no split hook fired after Restore: hooks were lost")
-	}
-}

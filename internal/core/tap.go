@@ -6,9 +6,9 @@ package core
 // per update; the cost of an installed tap is the tap's own — keep
 // implementations to a few atomic/indexed operations.
 //
-// Taps run in the tree's update context: under the engine lock for
-// ConcurrentTree and the sharded engine, on the caller's goroutine for a
-// plain Tree. They must not call back into the tree.
+// Taps run in the tree's update context: under the shard lock for the
+// sharded engine, on the caller's goroutine for a plain Tree. They must
+// not call back into the tree.
 type Tap interface {
 	// Tap observes one event: p is already masked into the universe,
 	// weight is the event weight (>= 1).

@@ -9,7 +9,8 @@ import (
 
 // Tree is a Range Adaptive Profiling tree: a one-pass, bounded-memory
 // summary of a stream of uint64 events. Tree is not safe for concurrent
-// use; wrap it or shard streams if profiling from several goroutines.
+// use; profile from several goroutines through the sharded engine
+// (internal/shard), which at one shard is a tree behind one lock.
 type Tree struct {
 	cfg    Config
 	shift  int // log2(Branch)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"rap/internal/core"
 	"rap/internal/shard"
 	"rap/internal/stats"
 )
@@ -15,17 +14,18 @@ import (
 // ContendedRow is one feeder count measured under both locking regimes.
 type ContendedRow struct {
 	Feeders       int
-	SingleLockEPS float64 // events/sec through one ConcurrentTree
+	SingleLockEPS float64 // events/sec through a one-shard shard.Engine
 	ShardedEPS    float64 // events/sec through a shard.Engine (shards = feeders)
 	Speedup       float64 // ShardedEPS / SingleLockEPS
 }
 
 // ContendedResult measures multi-goroutine ingest throughput: F feeder
-// goroutines hammering per-event Add against (a) a single mutex-wrapped
-// tree and (b) a sharded engine with one shard per feeder and per-feeder
-// pinned handles. The workload (per-feeder Zipf streams) is pre-generated
-// so the measured region is pure ingest. Scaling beyond 1× requires real
-// cores: GOMAXPROCS is recorded so a 1-CPU run explains its own flatness.
+// goroutines hammering per-event Add against (a) a one-shard engine, a
+// single tree behind one lock, and (b) a sharded engine with one shard per
+// feeder and per-feeder pinned handles. The workload (per-feeder Zipf
+// streams) is pre-generated so the measured region is pure ingest. Scaling
+// beyond 1× requires real cores: GOMAXPROCS is recorded so a 1-CPU run
+// explains its own flatness.
 type ContendedResult struct {
 	Events     uint64 // events per regime at each feeder count
 	GOMAXPROCS int
@@ -58,11 +58,11 @@ func Contended(o Options) (ContendedResult, error) {
 		}
 
 		single, err := timeFeeders(streams, func() (feederSink, error) {
-			ct, err := core.NewConcurrent(cfg)
+			e, err := shard.New(cfg, 1)
 			if err != nil {
 				return nil, err
 			}
-			return func(int) func(uint64) { return ct.Add }, nil
+			return func(int) func(uint64) { return e.Add }, nil
 		})
 		if err != nil {
 			return ContendedResult{}, err

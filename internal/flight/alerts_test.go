@@ -248,7 +248,7 @@ func TestBuiltinRules(t *testing.T) {
 	}
 	for _, want := range []string{
 		"audit_violations", "admission_level", "queue_saturation",
-		"arena_growth", "trace_evictions", "checkpoint_staleness",
+		"arena_growth", "checkpoint_staleness",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Fatalf("builtin rule %q missing", want)

@@ -111,16 +111,6 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 			Crit:   cfg.ProfileP99Crit,
 			For:    cfg.For,
 		},
-		{
-			Name:       "trace_evictions",
-			Help:       "Structural trace ring overwriting history faster than it is exported (events/s).",
-			Kind:       Rate,
-			Series:     "rap_trace_evicted_total",
-			Agg:        AggSum,
-			Warn:       1,
-			RateWindow: cfg.ArenaGrowthWindow,
-			For:        cfg.For,
-		},
 	}
 	if cfg.CheckpointEvery > 0 {
 		rules = append(rules, Rule{

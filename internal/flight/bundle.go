@@ -32,11 +32,9 @@ type BundleConfig struct {
 	Recorder *Recorder
 	// Engine contributes alerts.json.
 	Engine *Engine
-	// Trace contributes trace.jsonl, the structural event ring.
-	Trace *obs.StructuralTrace
-	// Spans contributes spans.jsonl, the request-span ring (satisfied by
-	// *span.Tracer; typed as an interface so flight stays decoupled from
-	// the tracing package).
+	// Spans contributes spans.jsonl, the span ring with its structural
+	// events (satisfied by *span.Tracer; typed as an interface so flight
+	// stays decoupled from the tracing package).
 	Spans interface{ WriteJSONL(io.Writer) error }
 	// Profile returns the adaptive latency-profile document /profilez
 	// serves; contributes profile.json.
@@ -137,15 +135,6 @@ func WriteBundle(w io.Writer, cfg BundleConfig) error {
 		if err := addJSON("alerts.json", struct {
 			Alerts []AlertStatus `json:"alerts"`
 		}{cfg.Engine.Snapshot()}); err != nil {
-			return err
-		}
-	}
-	if cfg.Trace != nil {
-		var buf bytes.Buffer
-		if err := cfg.Trace.WriteJSONL(&buf); err != nil {
-			return err
-		}
-		if err := add("trace.jsonl", buf.Bytes()); err != nil {
 			return err
 		}
 	}

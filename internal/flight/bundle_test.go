@@ -17,8 +17,6 @@ func buildTestBundle(t *testing.T) map[string][]byte {
 	t.Helper()
 	reg := obs.NewRegistry()
 	reg.Gauge("g", "a gauge").Set(42)
-	tr := obs.NewStructuralTrace(1, 16)
-	tr.Record(obs.StructuralEvent{Op: "split", Lo: 1, Hi: 2})
 	rec := NewRecorder(reg, Options{})
 	for i := 0; i < 5; i++ {
 		rec.Scrape(at(i))
@@ -32,7 +30,6 @@ func buildTestBundle(t *testing.T) map[string][]byte {
 		Registry: reg,
 		Recorder: rec,
 		Engine:   eng,
-		Trace:    tr,
 		AuditReport: func() (any, bool) {
 			return map[string]any{"verdict": "pass", "violations_total": 0}, true
 		},
@@ -85,7 +82,7 @@ func TestBundleContents(t *testing.T) {
 	entries := buildTestBundle(t)
 	for _, name := range []string{
 		"meta.json", "build.json", "config.json", "metrics.prom",
-		"metrics_history.json", "alerts.json", "trace.jsonl",
+		"metrics_history.json", "alerts.json",
 		"spans.jsonl", "profile.json", "audit.json", "admit.json",
 	} {
 		if _, ok := entries[name]; !ok {
@@ -133,9 +130,6 @@ func TestBundleContents(t *testing.T) {
 
 	if !strings.Contains(string(entries["metrics.prom"]), "g 42") {
 		t.Error("metrics.prom missing gauge sample")
-	}
-	if !strings.Contains(string(entries["trace.jsonl"]), `"op":"split"`) {
-		t.Error("trace.jsonl missing recorded event")
 	}
 	if !strings.Contains(string(entries["spans.jsonl"]), `"name":"v1.estimate"`) {
 		t.Error("spans.jsonl missing recorded span")

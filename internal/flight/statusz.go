@@ -48,8 +48,9 @@ type Statusz struct {
 }
 
 // SlowOp is one slow-operation row on /statusz: an op that exceeded the
-// tracer's slow threshold, with its trace identity so the operator can
-// jump to /spans?trace=.
+// tracer's slow threshold, or an always-kept event (an audit verdict, an
+// admission level change; duration 0), with its trace identity so the
+// operator can jump to /spans?trace=.
 type SlowOp struct {
 	At       time.Time
 	Name     string

@@ -18,7 +18,7 @@ func admitOptions(shards int) Options {
 		Shards:      shards,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-		Logf:        func(string, ...any) {},
+		Logger:      quietLogger,
 		Admission:   &admit.Options{Seed: 7},
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"rap/internal/audit"
 	"rap/internal/obs"
+	"rap/internal/span"
 )
 
 func auditOptions() *audit.Options {
@@ -18,11 +19,11 @@ func auditOptions() *audit.Options {
 // latency histograms must have observed real traffic.
 func TestAuditThroughPipeline(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewStructuralTrace(1000, 1<<12)
+	tr := span.New(span.Options{SampleRate: 1000, SlowThreshold: -1})
 	opts := testOptions(2)
 	opts.CheckpointDir = t.TempDir()
 	opts.Metrics = reg
-	opts.StructuralTrace = tr
+	opts.Tracer = tr
 	opts.Audit = auditOptions()
 	opts.AuditEvery = 2 * time.Millisecond // fire mid-run, not only at drain
 

@@ -1,8 +1,9 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
-	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,27 +11,31 @@ import (
 	"testing"
 )
 
-// logCapture collects Logf lines for assertions.
+// logCapture collects log output for assertions: a text slog.Handler
+// over a locked buffer.
 type logCapture struct {
-	mu    sync.Mutex
-	lines []string
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-func (lc *logCapture) logf(format string, args ...any) {
+func (lc *logCapture) Write(p []byte) (int, error) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.lines = append(lc.lines, fmt.Sprintf(format, args...))
+	return lc.buf.Write(p)
+}
+
+func (lc *logCapture) logger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(lc, nil))
+}
+
+func (lc *logCapture) String() string {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return lc.buf.String()
 }
 
 func (lc *logCapture) contains(substr string) bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	for _, l := range lc.lines {
-		if strings.Contains(l, substr) {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(lc.String(), substr)
 }
 
 // runToCompletion ingests vals under the given options and returns the
@@ -110,7 +115,7 @@ func TestCorruptCheckpointQuarantinedAndPrevUsed(t *testing.T) {
 	}
 
 	lc := &logCapture{}
-	opts.Logf = lc.logf
+	opts.Logger = lc.logger()
 	in2, err := Open(opts, []SourceSpec{sliceSpec("s", vals)})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +124,7 @@ func TestCorruptCheckpointQuarantinedAndPrevUsed(t *testing.T) {
 		t.Fatalf("fallback restored N = %d, want previous checkpoint's %d", got, prevN)
 	}
 	if !lc.contains("quarantined") {
-		t.Fatalf("corruption not logged: %q", lc.lines)
+		t.Fatalf("corruption not logged: %q", lc)
 	}
 	quarantined, _ := filepath.Glob(filepath.Join(dir, ckName+".corrupt-*"))
 	if len(quarantined) != 1 {
@@ -151,7 +156,7 @@ func TestBothCheckpointsCorruptStartsFresh(t *testing.T) {
 	}
 
 	lc := &logCapture{}
-	opts.Logf = lc.logf
+	opts.Logger = lc.logger()
 	in, err := Open(opts, []SourceSpec{sliceSpec("s", vals)})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +218,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	dir := f.TempDir()
 	opts := testOptions(2)
 	opts.CheckpointDir = dir
-	opts.Logf = func(string, ...any) {}
 	in, err := Open(opts, []SourceSpec{sliceSpec("s", zipfVals(3_000, 10))})
 	if err != nil {
 		f.Fatal(err)

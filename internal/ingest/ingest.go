@@ -22,11 +22,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"math/rand/v2"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,15 +114,10 @@ type Options struct {
 	// Run winds down. Tests use it to simulate a hard crash.
 	SkipFinalCheckpoint bool
 
-	// Logf receives operational log lines (retries, quarantined
-	// checkpoints, failed sources) rendered as "msg key=value ...".
-	// Default log.Printf. Ignored when Logger is set.
-	Logf func(format string, args ...any)
-
-	// Logger, when set, receives structured operational logs with
-	// per-source fields (source, attempt, backoff, err) — the same labels
-	// the metrics registry uses, so logs and metrics can be joined. When
-	// nil, a handler bridging to Logf is installed.
+	// Logger receives structured operational logs (retries, quarantined
+	// checkpoints, failed sources) with per-source fields (source,
+	// attempt, backoff, err) — the same labels the metrics registry uses,
+	// so logs and metrics can be joined. Default slog.Default().
 	Logger *slog.Logger
 
 	// Metrics, when set, registers pipeline metrics on this registry:
@@ -133,17 +126,13 @@ type Options struct {
 	// drops, retries, backoff state, and checkpoint counters/latency.
 	Metrics *obs.Registry
 
-	// StructuralTrace, when set (together with Metrics), records sampled
-	// split/merge decisions from every shard tree.
-	StructuralTrace *obs.StructuralTrace
-
 	// Audit, when set, runs the online accuracy self-audit over this
 	// pipeline: per-shard taps shadow the stream, and periodic passes
 	// compare the engine's estimates against exact counts for the sampled
 	// ranges. The auditor attaches after checkpoint recovery, so restored
-	// mass is pre-audit slack, never fabricated truth. Audit metrics and
-	// violation trace events land on Metrics / StructuralTrace when those
-	// are set.
+	// mass is pre-audit slack, never fabricated truth. Audit metrics land
+	// on Metrics, and violation and near-bound events on Tracer, when
+	// Metrics is set.
 	Audit *audit.Options
 
 	// AuditEvery is the cadence of periodic audit passes in Run (default
@@ -157,8 +146,8 @@ type Options struct {
 	// lands in the trees' unadmitted ledgers (reconciled per source in
 	// Stats and preserved across checkpoints) and is folded into the
 	// audit's certified budget, so Audit+Admission still verifies the
-	// end-to-end bound. The frontend's Logger/Trace default to this
-	// Options' Logger and StructuralTrace when unset.
+	// end-to-end bound. The frontend's Logger and Trace default to this
+	// Options' Logger and (when Metrics is set) Tracer.
 	Admission *admit.Options
 
 	// AdmissionObserveEvery is the cadence at which Run feeds the
@@ -191,40 +180,11 @@ type Options struct {
 	// epoch-publish children attached when the apply triggered them), and
 	// each checkpoint becomes a trace with cut and write children. The
 	// tracer's sampling policy decides what is kept; unsampled batches pay
-	// one small allocation per 256-event batch.
+	// one small allocation per 256-event batch. With Metrics also set,
+	// split/merge decisions (tree.split, tree.merge), audit verdicts and
+	// admission level changes are recorded on it as zero-duration events.
 	Tracer *span.Tracer
 }
-
-// logfHandler is a minimal slog.Handler that renders records through a
-// printf-style sink, keeping the legacy Logf option (and tests that
-// capture it) working under structured logging.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(r.Message)
-	for _, a := range h.attrs {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return h
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 func (o Options) withDefaults() Options {
 	if o.Tree == (core.Config{}) {
@@ -264,11 +224,7 @@ func (o Options) withDefaults() Options {
 		o.SnapshotMaxStale = time.Second
 	}
 	if o.Logger == nil {
-		logf := o.Logf
-		if logf == nil {
-			logf = log.Printf
-		}
-		o.Logger = slog.New(logfHandler{logf: logf})
+		o.Logger = slog.Default()
 	}
 	return o
 }
@@ -451,6 +407,12 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 	if opts.ReadSnapshots {
 		engine.EnableReadSnapshots(opts.SnapshotEvery)
 	}
+	// Structural events ride on the tracer only beside the metrics plane,
+	// the same condition under which the tree hooks are installed.
+	var events *span.Tracer
+	if opts.Metrics != nil {
+		events = opts.Tracer
+	}
 	// Install the admission frontend before the audit attaches: the gates
 	// must already be in place when the auditor reads its baseline, so the
 	// mass accounting (baseN + tapN == n + unadmitted) starts consistent.
@@ -460,7 +422,7 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 			admOpts.Logger = opts.Logger
 		}
 		if admOpts.Trace == nil {
-			admOpts.Trace = opts.StructuralTrace
+			admOpts.Trace = events
 		}
 		in.adm = admit.New(admOpts)
 		gates := in.adm.Gates(engine.Config().UniverseBits, engine.Shards())
@@ -478,7 +440,7 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 			return nil, err
 		}
 		engine.SetShardTaps(func(i int) core.Tap { return taps[i] })
-		aud.Register(opts.Metrics, opts.StructuralTrace)
+		aud.Register(opts.Metrics, events)
 		in.aud = aud
 	}
 	// Register metrics after restore so hooks land on the live trees.
@@ -503,15 +465,15 @@ func (in *Ingestor) Admission() *admit.Frontend {
 
 // registerMetrics wires the three instrumentation surfaces onto
 // opts.Metrics: per-shard tree hooks (counters, latency histograms,
-// structural trace), scrape-time gauges over shard and queue state, and
-// checkpoint counters. Scrape-time Funcs take the owning shard lock, so
+// split/merge events on opts.Tracer), scrape-time gauges over shard and
+// queue state, and checkpoint counters. Scrape-time Funcs take the owning shard lock, so
 // an exposition is a consistent-enough monitoring view without ever
 // blocking the hot path for longer than one scrape.
 func (in *Ingestor) registerMetrics() {
 	reg := in.opts.Metrics
 	eps := in.opts.Tree.Epsilon
 	in.engine.SetShardHooks(func(i int) *core.Hooks {
-		return obs.TreeHooks(reg, in.opts.StructuralTrace, strconv.Itoa(i))
+		return treeHooks(reg, in.opts.Tracer, strconv.Itoa(i))
 	})
 	for i := 0; i < in.engine.Shards(); i++ {
 		i := i
@@ -633,11 +595,6 @@ func (in *Ingestor) registerMetrics() {
 			func() float64 { return float64(pub.Published()) })
 		reg.CounterFunc("rap_epoch_retired_total", "Superseded epochs whose reader count drained.",
 			func() float64 { return float64(pub.Retired()) })
-	}
-	if tr := in.opts.StructuralTrace; tr != nil {
-		reg.CounterFunc("rap_trace_evicted_total",
-			"Structural trace events the ring overwrote before any export read them.",
-			func() float64 { return float64(tr.Evicted()) })
 	}
 	in.ckDur = reg.Histogram("rap_checkpoint_seconds", "Wall time of one checkpoint write.", obs.DurationBuckets())
 	in.ckCutDur = reg.Duration("rap_checkpoint_cut_seconds",
@@ -843,109 +800,40 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		}(ss)
 	}
 
-	stopCk := make(chan struct{})
-	var ckWg sync.WaitGroup
-	if in.opts.CheckpointDir != "" {
-		ckWg.Add(1)
-		go func() {
-			defer ckWg.Done()
-			tick := time.NewTicker(in.opts.CheckpointEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if err := in.Checkpoint(); err != nil {
-						in.log.Error("ingest: checkpoint failed", "err", err)
-					}
-				case <-stopCk:
-					return
-				}
-			}
-		}()
-	}
-
-	stopAdm := make(chan struct{})
-	var admWg sync.WaitGroup
-	if in.adm != nil {
-		admWg.Add(1)
-		go func() {
-			defer admWg.Done()
-			tick := time.NewTicker(in.opts.AdmissionObserveEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					in.adm.Observe(in.engine.Stats())
-				case <-stopAdm:
-					return
-				}
-			}
-		}()
-	}
-
-	stopPub := make(chan struct{})
-	var pubWg sync.WaitGroup
-	if in.opts.ReadSnapshots {
-		pubWg.Add(1)
-		go func() {
-			defer pubWg.Done()
-			tick := time.NewTicker(in.opts.SnapshotMaxStale)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					// Publish only when events arrived since the last epoch:
-					// an idle stream keeps its (already current) epoch instead
-					// of burning clones on nothing.
-					if in.engine.PublishPending() > 0 {
-						in.engine.PublishNow()
-					}
-				case <-stopPub:
-					return
-				}
-			}
-		}()
-	}
-
-	stopAudit := make(chan struct{})
-	var audWg sync.WaitGroup
-	if in.aud != nil {
-		audWg.Add(1)
-		go func() {
-			defer audWg.Done()
-			tick := time.NewTicker(in.opts.AuditEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					in.auditPass()
-				case <-stopAudit:
-					return
-				}
-			}
-		}()
-	}
+	stopCk := every(in.opts.CheckpointDir != "", in.opts.CheckpointEvery, func() {
+		if err := in.Checkpoint(); err != nil {
+			in.log.Error("ingest: checkpoint failed", "err", err)
+		}
+	})
+	stopAdm := every(in.adm != nil, in.opts.AdmissionObserveEvery, func() {
+		in.adm.Observe(in.engine.Stats())
+	})
+	stopPub := every(in.opts.ReadSnapshots, in.opts.SnapshotMaxStale, func() {
+		// Publish only when events arrived since the last epoch: an idle
+		// stream keeps its (already current) epoch instead of burning
+		// clones on nothing.
+		if in.engine.PublishPending() > 0 {
+			in.engine.PublishNow()
+		}
+	})
+	stopAudit := every(in.aud != nil, in.opts.AuditEvery, in.auditPass)
 
 	readers.Wait()
-	close(stopCk)
-	ckWg.Wait()
+	stopCk()
 	// Readers are done; close the queues and let the workers drain what
 	// was already accepted, so the final checkpoint covers it.
 	for _, q := range in.queues {
 		close(q.ch)
 	}
 	workers.Wait()
-	close(stopPub)
-	pubWg.Wait()
+	stopPub()
 	if in.opts.ReadSnapshots {
 		// The queues are fully drained: publish one last epoch so readers
 		// see the complete stream.
 		in.engine.PublishNow()
 	}
-	close(stopAdm)
-	admWg.Wait()
-	close(stopAudit)
-	audWg.Wait()
+	stopAdm()
+	stopAudit()
 	if in.aud != nil {
 		// One final pass over the fully drained stream, so even a short
 		// run gets at least one complete accuracy verdict.
@@ -965,6 +853,36 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// every runs fn on a ticker of period d in its own goroutine while on
+// holds, until the returned stop is called. stop waits for an in-flight
+// fn, so whatever fn touches is quiet once it returns; with on false,
+// every starts nothing and stop is a no-op.
+func every(on bool, d time.Duration, fn func()) (stop func()) {
+	if !on {
+		return func() {}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				fn()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
 }
 
 // auditPass runs one audit pass and logs its outcome; a violation is an

@@ -3,6 +3,8 @@ package ingest
 import (
 	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"sync"
@@ -15,6 +17,8 @@ import (
 	"rap/internal/trace"
 )
 
+var quietLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
+
 func testOptions(shards int) Options {
 	cfg := core.DefaultConfig()
 	cfg.UniverseBits = 16
@@ -24,7 +28,7 @@ func testOptions(shards int) Options {
 		Shards:      shards,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-		Logf:        func(string, ...any) {},
+		Logger:      quietLogger,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"rap/internal/core"
 	"rap/internal/obs"
+	"rap/internal/span"
 	"rap/internal/trace"
 )
 
@@ -18,11 +19,11 @@ import (
 func TestMetricsRegistration(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	tr := obs.NewStructuralTrace(1, 1<<12)
+	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
 	opts := testOptions(2)
 	opts.CheckpointDir = dir
 	opts.Metrics = reg
-	opts.StructuralTrace = tr
+	opts.Tracer = tr
 
 	in := runToCompletion(t, opts, []SourceSpec{
 		sliceSpec("a", zipfVals(30_000, 21)),
@@ -33,11 +34,11 @@ func TestMetricsRegistration(t *testing.T) {
 	var splits, merges float64
 	for _, fam := range reg.Snapshot() {
 		switch fam.Name {
-		case obs.MetricTreeSplits:
+		case MetricTreeSplits:
 			for _, s := range fam.Series {
 				splits += s.Value
 			}
-		case obs.MetricTreeMerges:
+		case MetricTreeMerges:
 			for _, s := range fam.Series {
 				merges += s.Value
 			}
@@ -52,8 +53,14 @@ func TestMetricsRegistration(t *testing.T) {
 	if st.Splits == 0 {
 		t.Fatal("stream produced no splits; test is vacuous")
 	}
-	if tr.Decisions() == 0 {
-		t.Fatal("structural trace saw no decisions")
+	var events int
+	for _, r := range tr.Spans() {
+		if strings.HasPrefix(r.Name, "tree.") {
+			events++
+		}
+	}
+	if events == 0 {
+		t.Fatal("tracer recorded no split/merge events")
 	}
 
 	if st.Checkpoint.Written == 0 || st.Checkpoint.LastAt.IsZero() ||
@@ -78,7 +85,6 @@ func TestMetricsRegistration(t *testing.T) {
 		"rap_checkpoint_written_total 1",
 		"rap_checkpoint_seconds_count 1",
 		"rap_checkpoint_staleness_seconds",
-		"rap_trace_evicted_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

@@ -12,10 +12,11 @@ import (
 // TestIngestSpans drives a traced pipeline end to end and checks the span
 // shape: every kept ingest.batch trace carries queue_wait and apply
 // children linked to its root, checkpoint traces carry cut and write
-// children, and an epoch publish triggered inside an apply is attributed
-// to that batch's trace.
+// children, an epoch publish triggered inside an apply is attributed
+// to that batch's trace, and split/merge decisions are childless
+// zero-duration events.
 func TestIngestSpans(t *testing.T) {
-	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 12, SlowThreshold: -1})
+	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
 	reg := obs.NewRegistry()
 	opts := testOptions(2)
 	opts.Metrics = reg
@@ -45,7 +46,7 @@ func TestIngestSpans(t *testing.T) {
 		}
 	}
 
-	var batches, checkpoints, publishes int
+	var batches, checkpoints, publishes, events int
 	for id, root := range roots {
 		kids := map[string]int{}
 		var applyID string
@@ -74,6 +75,11 @@ func TestIngestSpans(t *testing.T) {
 			if kids["cut"] != 1 || kids["write"] != 1 {
 				t.Fatalf("checkpoint trace children = %v", kids)
 			}
+		case "tree.split", "tree.merge":
+			events++
+			if len(kids) != 0 || root.DurationNs != 0 {
+				t.Fatalf("%s event has children %v or duration %d", root.Name, kids, root.DurationNs)
+			}
 		default:
 			t.Fatalf("unexpected root span %q", root.Name)
 		}
@@ -83,6 +89,9 @@ func TestIngestSpans(t *testing.T) {
 	}
 	if checkpoints == 0 {
 		t.Fatal("no checkpoint trace recorded (final checkpoint should produce one)")
+	}
+	if events == 0 {
+		t.Fatal("no split/merge events recorded beside the metrics plane")
 	}
 	// 40k events at SnapshotEvery=4096 must publish inside applies.
 	if publishes == 0 {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,45 +12,49 @@ import (
 
 // TestReaderMatchesMergedTreeCut checks the differential oracle: once
 // publishes are quiesced, a pinned epoch and MergedTreeCut describe the
-// same profile.
+// same profile — at one shard (the concurrent engine) and at four.
 func TestReaderMatchesMergedTreeCut(t *testing.T) {
-	e, err := New(testConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.EnableReadSnapshots(1 << 10)
-	rng := stats.NewSplitMix64(42)
-	z := stats.NewZipf(rng, 1<<16, 1.2)
-	for i := 0; i < 80_000; i++ {
-		e.Add(uint64(z.Rank()))
-	}
-	e.PublishNow() // quiesced cut at the final state
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			e, err := New(testConfig(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.EnableReadSnapshots(1 << 10)
+			rng := stats.NewSplitMix64(42)
+			z := stats.NewZipf(rng, 1<<16, 1.2)
+			for i := 0; i < 80_000; i++ {
+				e.Add(uint64(z.Rank()))
+			}
+			e.PublishNow() // quiesced cut at the final state
 
-	ep := e.Reader()
-	defer ep.Release()
-	cut := e.MergedTreeCut(nil)
-	if ep.N() != cut.N() {
-		t.Fatalf("epoch N = %d, merged cut N = %d", ep.N(), cut.N())
-	}
-	for _, r := range [][2]uint64{{0, 1 << 16}, {0, 255}, {1 << 15, 1 << 16}, {100, 100}} {
-		el, eh := ep.EstimateBounds(r[0], r[1])
-		cl, ch := cut.EstimateBounds(r[0], r[1])
-		if el != cl || eh != ch {
-			t.Fatalf("bounds differ on [%d,%d]: epoch (%d,%d) vs cut (%d,%d)", r[0], r[1], el, eh, cl, ch)
-		}
-		if ep.Estimate(r[0], r[1]) != cut.Estimate(r[0], r[1]) {
-			t.Fatalf("estimate differs on [%d,%d]", r[0], r[1])
-		}
-	}
-	eh := ep.HotRanges(0.01)
-	ch := cut.HotRanges(0.01)
-	if len(eh) != len(ch) {
-		t.Fatalf("hot ranges differ: %d vs %d", len(eh), len(ch))
-	}
-	for i := range eh {
-		if eh[i] != ch[i] {
-			t.Fatalf("hot range %d differs: %+v vs %+v", i, eh[i], ch[i])
-		}
+			ep := e.Reader()
+			defer ep.Release()
+			cut := e.MergedTreeCut(nil)
+			if ep.N() != cut.N() {
+				t.Fatalf("epoch N = %d, merged cut N = %d", ep.N(), cut.N())
+			}
+			for _, r := range [][2]uint64{{0, 1 << 16}, {0, 255}, {1 << 15, 1 << 16}, {100, 100}} {
+				el, eh := ep.EstimateBounds(r[0], r[1])
+				cl, ch := cut.EstimateBounds(r[0], r[1])
+				if el != cl || eh != ch {
+					t.Fatalf("bounds differ on [%d,%d]: epoch (%d,%d) vs cut (%d,%d)", r[0], r[1], el, eh, cl, ch)
+				}
+				if ep.Estimate(r[0], r[1]) != cut.Estimate(r[0], r[1]) {
+					t.Fatalf("estimate differs on [%d,%d]", r[0], r[1])
+				}
+			}
+			eh := ep.HotRanges(0.01)
+			ch := cut.HotRanges(0.01)
+			if len(eh) != len(ch) {
+				t.Fatalf("hot ranges differ: %d vs %d", len(eh), len(ch))
+			}
+			for i := range eh {
+				if eh[i] != ch[i] {
+					t.Fatalf("hot range %d differs: %+v vs %+v", i, eh[i], ch[i])
+				}
+			}
+		})
 	}
 }
 

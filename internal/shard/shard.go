@@ -13,8 +13,9 @@
 //
 // Intended use: call Handle once per feeding goroutine and ingest through
 // it. A handle is pinned to one shard, so with at least as many shards as
-// feeders every Add takes an uncontended per-shard lock — the scalable
-// replacement for core.ConcurrentTree's single mutex.
+// feeders every Add takes an uncontended per-shard lock. At one shard the
+// engine is a single tree behind one lock — the concurrent engine the
+// rap facade's WithConcurrent builds.
 package shard
 
 import (
@@ -44,7 +45,7 @@ var ErrShardCount = errors.New("shard: snapshot shard count mismatch")
 type Engine struct {
 	cfg    core.Config
 	shards []*treeShard
-	next   atomic.Uint64 // round-robin cursor for Handle and Add
+	next   atomic.Uint64 // round-robin cursor for Handle and Add; see pick
 
 	// Epoch read path. pub is nil until EnableReadSnapshots. pubMu
 	// serializes publishes (writer-side only — readers never touch it);
@@ -105,8 +106,18 @@ type Handle struct {
 
 // Handle returns a new ingest handle (see Handle type).
 func (e *Engine) Handle() *Handle {
+	return &Handle{sh: e.pick(), eng: e}
+}
+
+// pick returns the shard for the next handle or handle-free call,
+// round-robin. A one-shard engine skips the shared cursor, so every
+// feeder does not bounce its cache line for a choice of one.
+func (e *Engine) pick() *treeShard {
+	if len(e.shards) == 1 {
+		return e.shards[0]
+	}
 	i := e.next.Add(1) - 1
-	return &Handle{sh: e.shards[i%uint64(len(e.shards))], eng: e}
+	return e.shards[i%uint64(len(e.shards))]
 }
 
 // Reader returns a pinned consistent epoch spanning the whole engine
@@ -153,15 +164,14 @@ func (h *Handle) AddSorted(points []uint64) {
 }
 
 // Add records one occurrence of p on a round-robin shard. Handle-free
-// ingestion keeps the engine drop-in compatible with ConcurrentTree, at
-// the cost of bouncing the round-robin cursor between cores; hot loops
-// should hold a Handle instead.
+// ingestion keeps the engine usable through the plain Writer interface,
+// at the cost (with more than one shard) of bouncing the round-robin
+// cursor between cores; hot loops should hold a Handle instead.
 func (e *Engine) Add(p uint64) { e.AddN(p, 1) }
 
 // AddN records weight occurrences of p on a round-robin shard.
 func (e *Engine) AddN(p uint64, weight uint64) {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddN(p, weight)
 	sh.mu.Unlock()
@@ -171,8 +181,7 @@ func (e *Engine) AddN(p uint64, weight uint64) {
 // AddBatch records a batch of points on one round-robin shard under a
 // single lock acquisition, through the tree's batched fast path.
 func (e *Engine) AddBatch(points []uint64) {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddBatch(points)
 	sh.mu.Unlock()
@@ -182,8 +191,7 @@ func (e *Engine) AddBatch(points []uint64) {
 // AddSamples records a chunk of weighted events on one round-robin shard
 // under a single lock acquisition.
 func (e *Engine) AddSamples(samples []core.Sample) {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddSamples(samples)
 	sh.mu.Unlock()
@@ -388,8 +396,7 @@ func (e *Engine) HotRanges(theta float64) []core.HotRange {
 // shard's tap never observed, so the tap (if any) is notified via
 // TreeReplaced.
 func (e *Engine) Merge(other *core.Tree) error {
-	i := e.next.Add(1) - 1
-	sh := e.shards[i%uint64(len(e.shards))]
+	sh := e.pick()
 	sh.mu.Lock()
 	err := sh.tree.Merge(other)
 	if err == nil && sh.tap != nil {

@@ -18,6 +18,11 @@
 //     wires it to "any alert firing"), every span is recorded, so the
 //     minutes that matter are traced at 100%.
 //
+// Point-in-time decisions — a tree split or merge, an audit verdict, an
+// admission level change — are recorded through the same sampler as
+// zero-duration root spans (Event, EventAlways), so one ring, one sampler
+// and one endpoint serve both timed operations and structural events.
+//
 // Recorded spans land in a fixed-size ring of atomic pointers — writers
 // never block each other or readers — and are exported as JSONL over
 // /spans, in diagnostic bundles, and to offline analysis via rapdiag.
@@ -112,12 +117,14 @@ type Record struct {
 // Options configures a Tracer. Zero values select the defaults noted per
 // field.
 type Options struct {
-	// SampleRate keeps 1 in SampleRate root spans (with their children).
-	// 1 keeps everything; 0 selects the default 100 (1%).
+	// SampleRate keeps 1 in SampleRate root spans (with their children)
+	// and Event records. 1 keeps everything; 0 selects the default 100
+	// (1%).
 	SampleRate uint64
 	// Capacity is the span ring size. Default 4096.
 	Capacity int
-	// SlowCapacity is the slow-op log size. Default 64.
+	// SlowCapacity is the slow-op log size: slow spans and EventAlways
+	// records. Default 64.
 	SlowCapacity int
 	// SlowThreshold promotes any span at least this long into the ring and
 	// the slow-op log regardless of sampling. 0 selects the default 100ms;
@@ -149,8 +156,9 @@ func (o Options) withDefaults() Options {
 // Tracer creates spans and owns the recorded-span ring. All methods are
 // safe for concurrent use.
 type Tracer struct {
-	opt   Options
-	roots atomic.Uint64 // head-based sampling counter
+	opt      Options
+	roots    atomic.Uint64 // roots and events started: the head-sampling counter
+	children atomic.Uint64 // child spans started
 
 	// ring is the bounded lock-free store of finished, kept spans: a
 	// writer claims the next slot with one atomic add and publishes the
@@ -165,7 +173,6 @@ type Tracer struct {
 	slowLog  []Record // ring, oldest at slowNext once full
 	slowNext int
 
-	started  atomic.Uint64
 	recorded atomic.Uint64
 	slow     atomic.Uint64
 	forced   atomic.Uint64
@@ -224,7 +231,6 @@ func (tr *Tracer) StartRootAt(name string, start time.Time) *Span {
 	if tr == nil {
 		return nil
 	}
-	tr.started.Add(1)
 	n := tr.roots.Add(1)
 	forced := tr.opt.Force != nil && tr.opt.Force()
 	return &Span{
@@ -253,7 +259,7 @@ func (tr *Tracer) StartChildAt(parent Context, name string, start time.Time) *Sp
 	if tr == nil {
 		return nil
 	}
-	tr.started.Add(1)
+	tr.children.Add(1)
 	return &Span{
 		tr: tr,
 		ctx: Context{
@@ -339,27 +345,75 @@ func (s *Span) EndAt(end time.Time) {
 	if !s.parent.IsZero() {
 		rec.ParentID = s.parent.String()
 	}
-	tr.recorded.Add(1)
 	if forced && !s.ctx.Sampled {
 		tr.forced.Add(1)
 	}
-	i := tr.pos.Add(1) - 1
-	tr.ring[i%uint64(len(tr.ring))].Store(rec)
+	tr.store(rec)
 	if slow {
 		tr.slow.Add(1)
-		tr.slowMu.Lock()
-		if len(tr.slowLog) < tr.opt.SlowCapacity {
-			tr.slowLog = append(tr.slowLog, *rec)
-		} else {
-			tr.slowLog[tr.slowNext] = *rec
-			tr.slowNext = (tr.slowNext + 1) % len(tr.slowLog)
-		}
-		tr.slowMu.Unlock()
+		tr.logSlow(rec)
 	}
 }
 
-// Started returns the total spans started.
-func (tr *Tracer) Started() uint64 { return tr.started.Load() }
+// Event records a zero-duration root span: a point-in-time decision such
+// as a tree split, rather than a timed operation. It wins or loses the
+// head coin like any root; a lost coin costs one atomic increment — no
+// clock read, no allocation, no Force call — so hooks running under a
+// shard lock can report every decision. attrs runs only for a kept event.
+func (tr *Tracer) Event(name string, attrs func() []Attr) {
+	if tr == nil || tr.roots.Add(1)%tr.opt.SampleRate != 0 {
+		return
+	}
+	tr.store(eventRecord(name, true, attrs()))
+}
+
+// EventAlways records a zero-duration root span that sampling must never
+// drop: an audit verdict, an admission level change. While Force holds,
+// every span is recorded and the ring can wrap in under a second, so the
+// event is also kept in the slow-op log, where only other rare records
+// compete for its slot.
+func (tr *Tracer) EventAlways(name string, attrs ...Attr) {
+	if tr == nil {
+		return
+	}
+	rec := eventRecord(name, tr.roots.Add(1)%tr.opt.SampleRate == 0, attrs)
+	tr.store(rec)
+	tr.logSlow(rec)
+}
+
+// eventRecord builds the record of a zero-duration root span stamped now.
+func eventRecord(name string, sampled bool, attrs []Attr) *Record {
+	return &Record{
+		TraceID:   newTraceID().String(),
+		SpanID:    newSpanID().String(),
+		Name:      name,
+		StartNano: time.Now().UnixNano(),
+		Sampled:   sampled,
+		Attrs:     attrs,
+	}
+}
+
+// store publishes a kept record into the ring, overwriting the oldest.
+func (tr *Tracer) store(rec *Record) {
+	tr.recorded.Add(1)
+	i := tr.pos.Add(1) - 1
+	tr.ring[i%uint64(len(tr.ring))].Store(rec)
+}
+
+// logSlow appends a copy of rec to the slow-op log.
+func (tr *Tracer) logSlow(rec *Record) {
+	tr.slowMu.Lock()
+	defer tr.slowMu.Unlock()
+	if len(tr.slowLog) < tr.opt.SlowCapacity {
+		tr.slowLog = append(tr.slowLog, *rec)
+	} else {
+		tr.slowLog[tr.slowNext] = *rec
+		tr.slowNext = (tr.slowNext + 1) % len(tr.slowLog)
+	}
+}
+
+// Started returns the total spans started, events included.
+func (tr *Tracer) Started() uint64 { return tr.roots.Load() + tr.children.Load() }
 
 // Recorded returns the total spans kept in the ring (including ones the
 // ring has since overwritten).
@@ -388,7 +442,8 @@ func (tr *Tracer) Spans() []Record {
 }
 
 // SlowOps returns the slow-op log oldest-first: every retained span that
-// reached the slow threshold, regardless of sampling.
+// reached the slow threshold, regardless of sampling, and every
+// EventAlways record.
 func (tr *Tracer) SlowOps() []Record {
 	tr.slowMu.Lock()
 	defer tr.slowMu.Unlock()
@@ -465,9 +520,9 @@ func (tr *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Register exports the tracer's self-metrics on reg.
 func (tr *Tracer) Register(reg *obs.Registry) {
-	reg.CounterFunc("rap_span_started_total", "Spans started (before any sampling decision).",
-		func() float64 { return float64(tr.started.Load()) })
-	reg.CounterFunc("rap_span_recorded_total", "Spans kept in the span ring (head-sampled, slow-promoted, or forced).",
+	reg.CounterFunc("rap_span_started_total", "Spans and events started (before any sampling decision).",
+		func() float64 { return float64(tr.Started()) })
+	reg.CounterFunc("rap_span_recorded_total", "Spans kept in the span ring (head-sampled, slow-promoted, forced, or always-kept events).",
 		func() float64 { return float64(tr.recorded.Load()) })
 	reg.CounterFunc("rap_span_slow_total", "Spans promoted for reaching the slow-op threshold.",
 		func() float64 { return float64(tr.slow.Load()) })

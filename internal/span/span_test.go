@@ -135,6 +135,74 @@ func TestForcedRecording(t *testing.T) {
 	}
 }
 
+// TestEventSampling pins the structural-event path: events follow the
+// head rate, kept ones are zero-duration roots carrying their attributes,
+// and a dropped event neither allocates, builds its attributes, nor asks
+// the Force hook (which may take a lock the caller's hook runs under).
+func TestEventSampling(t *testing.T) {
+	forceCalls := 0
+	tr := New(Options{SampleRate: 4, SlowThreshold: -1, Force: func() bool { forceCalls++; return true }})
+	built := 0
+	attrs := func() []Attr {
+		built++
+		return []Attr{{Key: "lo", Value: "7"}}
+	}
+	for i := 0; i < 100; i++ {
+		tr.Event("tree.split", attrs)
+	}
+	if built != 25 {
+		t.Fatalf("attrs built for %d events, want the 25 kept", built)
+	}
+	if forceCalls != 0 {
+		t.Fatalf("Event consulted Force %d times", forceCalls)
+	}
+	spans := tr.Spans()
+	if len(spans) != 25 {
+		t.Fatalf("ring holds %d events, want 25", len(spans))
+	}
+	for _, r := range spans {
+		if r.Name != "tree.split" || r.DurationNs != 0 || !r.Sampled || r.ParentID != "" ||
+			r.StartNano == 0 || len(r.Attrs) != 1 || r.Attrs[0].Key != "lo" {
+			t.Fatalf("malformed event record %+v", r)
+		}
+	}
+	if tr.Started() != 100 || tr.Recorded() != 25 {
+		t.Fatalf("started %d recorded %d, want 100/25", tr.Started(), tr.Recorded())
+	}
+	if len(tr.SlowOps()) != 0 {
+		t.Fatal("sampled event landed in the slow-op log")
+	}
+
+	rare := New(Options{SampleRate: 1 << 60, SlowThreshold: -1})
+	if allocs := testing.AllocsPerRun(1000, func() { rare.Event("tree.split", attrs) }); allocs != 0 {
+		t.Fatalf("dropped event allocated %v times", allocs)
+	}
+	var nilTracer *Tracer
+	nilTracer.Event("tree.split", attrs)
+	nilTracer.EventAlways("audit.violation")
+}
+
+// TestEventAlwaysSurvivesForcedWrap: while an alert forces recording, the
+// ring wraps fast; an always-kept event must outlive that in SlowOps.
+func TestEventAlwaysSurvivesForcedWrap(t *testing.T) {
+	const capacity = 16
+	tr := New(Options{SampleRate: 1 << 60, Capacity: capacity, SlowThreshold: -1, Force: func() bool { return true }})
+	tr.EventAlways("audit.violation", Attr{Key: "lo", Value: "1"})
+	for i := 0; i < 2*capacity; i++ {
+		tr.StartRoot("forced").End()
+	}
+	for _, r := range tr.Spans() {
+		if r.Name == "audit.violation" {
+			t.Fatal("ring still holds the event; the test did not wrap it")
+		}
+	}
+	ops := tr.SlowOps()
+	if len(ops) != 1 || ops[0].Name != "audit.violation" || ops[0].Sampled || ops[0].Slow ||
+		len(ops[0].Attrs) != 1 || ops[0].Attrs[0].Value != "1" {
+		t.Fatalf("slow-op log %+v, want the always-kept event", ops)
+	}
+}
+
 func TestEndIdempotent(t *testing.T) {
 	tr := New(Options{SampleRate: 1, SlowThreshold: -1})
 	s := tr.StartRoot("op")

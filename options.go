@@ -86,8 +86,9 @@ func WithSharding(k int) Option {
 	}
 }
 
-// WithConcurrent selects the mutex-wrapped engine, safe for concurrent
-// use from any number of goroutines.
+// WithConcurrent selects the concurrent engine: the sharded engine at one
+// shard, a single tree behind one lock, safe for use from any number of
+// goroutines. For parallel ingest, pick more shards with WithSharding.
 func WithConcurrent() Option {
 	return func(b *builder) { b.concurrent = true }
 }
@@ -109,8 +110,7 @@ func WithSampling(k uint64) Option {
 // immutable snapshot of the profile, and Estimate/EstimateBounds/
 // HotRanges answer from the latest epoch with zero lock acquisitions —
 // queries never contend with ingest. every is the offered-event cadence
-// between publishes (0 selects the default, 64Ki events); the concurrent
-// engine additionally publishes after every merge batch. Answers lag the
+// between publishes (0 selects the default, 64Ki events). Answers lag the
 // live stream by at most one cadence; ReaderOf pins one epoch for
 // multi-query consistency. Only meaningful for WithConcurrent and
 // WithSharding — the single-goroutine and sampling engines have no
@@ -177,8 +177,8 @@ func NewConfig(opts ...Option) (Config, error) {
 }
 
 // New builds a Profiler from functional options. Engine selection:
-// WithSharding picks the sharded engine, WithConcurrent the locked tree,
-// WithSampling(k>1) the sampling tree, otherwise the plain
+// WithSharding picks the sharded engine, WithConcurrent the sharded engine
+// at one shard, WithSampling(k>1) the sampling tree, otherwise the plain
 // single-goroutine Tree. Combinations that would stack engines
 // (sharding+concurrent, sharding+sampling, concurrent+sampling) are
 // rejected rather than silently picking one.
@@ -213,7 +213,7 @@ func New(opts ...Option) (Profiler, error) {
 	case b.shards > 0:
 		p, err = NewSharded(cfg, b.shards)
 	case b.concurrent:
-		p, err = NewConcurrent(cfg)
+		p, err = NewSharded(cfg, 1)
 	case sampling:
 		p, err = NewSampled(cfg, b.sampleK)
 	default:
@@ -223,11 +223,7 @@ func New(opts ...Option) (Profiler, error) {
 		return nil, err
 	}
 	if b.admission != nil {
-		nShards := 1
-		if b.shards > 0 {
-			nShards = b.shards
-		}
-		if err := attachAdmission(b.admission, p, cfg, nShards); err != nil {
+		if err := attachAdmission(b.admission, p, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -237,14 +233,11 @@ func New(opts ...Option) (Profiler, error) {
 		}
 	}
 	if b.readSnapshots {
-		switch e := p.(type) {
-		case *Sharded:
-			e.EnableReadSnapshots(b.snapshotEvery)
-		case *ConcurrentTree:
-			e.EnableReadSnapshots(b.snapshotEvery)
-		default:
+		e, ok := p.(*Sharded)
+		if !ok {
 			return nil, fmt.Errorf("rap: WithReadSnapshots: engine %T has no concurrent read path to decouple; use WithConcurrent or WithSharding", p)
 		}
+		e.EnableReadSnapshots(b.snapshotEvery)
 	}
 	return p, nil
 }

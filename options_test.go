@@ -82,7 +82,7 @@ func TestNewEngineSelection(t *testing.T) {
 		want string
 	}{
 		{"default", nil, "*core.Tree"},
-		{"concurrent", []rap.Option{rap.WithConcurrent()}, "*core.ConcurrentTree"},
+		{"concurrent", []rap.Option{rap.WithConcurrent()}, "*shard.Engine/1"},
 		{"sampled", []rap.Option{rap.WithSampling(8)}, "*core.SampledTree"},
 		{"sampling-1-is-plain", []rap.Option{rap.WithSampling(1)}, "*core.Tree"},
 		{"sharded", []rap.Option{rap.WithSharding(2)}, "*shard.Engine"},
@@ -93,11 +93,12 @@ func TestNewEngineSelection(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		var got string
-		switch p.(type) {
+		switch e := p.(type) {
 		case *rap.Sharded:
 			got = "*shard.Engine"
-		case *rap.ConcurrentTree:
-			got = "*core.ConcurrentTree"
+			if e.Shards() == 1 {
+				got += "/1"
+			}
 		case *rap.SampledTree:
 			got = "*core.SampledTree"
 		case *rap.Tree:

@@ -20,18 +20,19 @@
 //	low, high := p.EstimateBounds(lo, hi)
 //	hot := p.HotRanges(0.10)
 //
-// New returns a Profiler backed by one of four engines, selected by
-// options: a plain single-goroutine Tree, a mutex-wrapped ConcurrentTree
-// (WithConcurrent), a SampledTree that applies 1-in-k sampling ahead of
-// the tree (WithSampling), or a Sharded engine that fans events across
-// per-shard trees and answers queries from their merged union
-// (WithSharding). All four satisfy Profiler; all estimates are lower
+// New returns a Profiler backed by one of three engines, selected by
+// options: a plain single-goroutine Tree, a SampledTree that applies
+// 1-in-k sampling ahead of the tree (WithSampling), or a Sharded engine
+// that fans events across per-shard trees and answers queries from their
+// merged union (WithSharding). WithConcurrent is the Sharded engine at
+// one shard: one tree behind one lock, safe for any number of
+// goroutines. All engines satisfy Profiler; all estimates are lower
 // bounds with the paper's ε·n guarantee.
 //
 // The ingest and query halves of that surface are the Writer and Reader
 // interfaces; Profiler is their (deprecated but fully supported) union.
-// With WithReadSnapshots the concurrent and sharded engines publish
-// immutable epoch snapshots and serve Reader queries from them without
+// With WithReadSnapshots the sharded engine (at any shard count) publishes
+// immutable epoch snapshots and serves Reader queries from them without
 // taking any locks; ReaderOf pins the current Epoch for multi-query
 // consistency.
 //
@@ -71,15 +72,13 @@ type Sample = core.Sample
 // Tree is the core single-goroutine profiler.
 type Tree = core.Tree
 
-// ConcurrentTree is a Tree behind one mutex, safe for concurrent use.
-type ConcurrentTree = core.ConcurrentTree
-
 // SampledTree applies deterministic 1-in-k sampling ahead of a Tree and
 // scales estimates back up.
 type SampledTree = core.SampledTree
 
 // Sharded fans events across k per-shard trees (lock striping, pinned
-// Handles) and answers queries from their merged union.
+// Handles) and answers queries from their merged union. At k=1 it is the
+// concurrent engine WithConcurrent selects.
 type Sharded = shard.Engine
 
 // Handle is a cheap per-goroutine ingest endpoint of a Sharded engine.
@@ -131,9 +130,13 @@ func NewAdmission(opts AdmissionOptions) *Admission { return admit.New(opts) }
 
 // attachAdmission installs the frontend's per-shard gates on a freshly
 // built engine: one gate per shard on the sharded engine, a single gate
-// otherwise. The sampling engine is rejected earlier, in New — its scaled
-// estimates cannot absorb an unadmitted ledger.
-func attachAdmission(f *Admission, p Profiler, cfg Config, shards int) error {
+// on a plain tree. The sampling engine is rejected earlier, in New — its
+// scaled estimates cannot absorb an unadmitted ledger.
+func attachAdmission(f *Admission, p Profiler, cfg Config) error {
+	shards := 1
+	if e, ok := p.(*Sharded); ok {
+		shards = e.Shards()
+	}
 	gates := f.Gates(cfg.UniverseBits, shards)
 	if gates == nil {
 		return fmt.Errorf("rap: WithAdmission: frontend already wired to an engine")
@@ -141,8 +144,6 @@ func attachAdmission(f *Admission, p Profiler, cfg Config, shards int) error {
 	switch e := p.(type) {
 	case *Sharded:
 		e.SetShardAdmitters(func(i int) core.Admitter { return gates[i] })
-	case *ConcurrentTree:
-		e.SetAdmitter(gates[0])
 	case *Tree:
 		e.SetAdmitter(gates[0])
 	default:
@@ -152,9 +153,9 @@ func attachAdmission(f *Admission, p Profiler, cfg Config, shards int) error {
 }
 
 // attachAudit taps a freshly built engine for the auditor: one tap per
-// shard on the sharded engine, a single tap otherwise. Only engines whose
-// estimates should equal the tapped stream can be audited — the sampling
-// engine is rejected earlier, in New.
+// shard on the sharded engine, a single tap on a plain tree. Only engines
+// whose estimates should equal the tapped stream can be audited — the
+// sampling engine is rejected earlier, in New.
 func attachAudit(a *Auditor, p Profiler, cfg Config) error {
 	switch e := p.(type) {
 	case *Sharded:
@@ -163,12 +164,6 @@ func attachAudit(a *Auditor, p Profiler, cfg Config) error {
 			return err
 		}
 		e.SetShardTaps(func(i int) core.Tap { return taps[i] })
-	case *ConcurrentTree:
-		taps, err := a.Attach(cfg, e, 1)
-		if err != nil {
-			return err
-		}
-		e.SetTap(taps[0])
 	case *Tree:
 		taps, err := a.Attach(cfg, e, 1)
 		if err != nil {
@@ -204,21 +199,18 @@ func NewTree(cfg Config) (*Tree, error) { return core.New(cfg) }
 // MustNewTree is NewTree, panicking on an invalid Config.
 func MustNewTree(cfg Config) *Tree { return core.MustNew(cfg) }
 
-// NewConcurrent builds the mutex-wrapped engine from an explicit Config.
-func NewConcurrent(cfg Config) (*ConcurrentTree, error) { return core.NewConcurrent(cfg) }
-
 // NewSampled builds a 1-in-k sampling engine from an explicit Config.
 func NewSampled(cfg Config, k uint64) (*SampledTree, error) { return core.NewSampled(cfg, k) }
 
 // NewSharded builds a k-shard engine from an explicit Config; k <= 0
-// selects GOMAXPROCS shards.
+// selects GOMAXPROCS shards, and k = 1 is the concurrent engine.
 func NewSharded(cfg Config, k int) (*Sharded, error) { return shard.New(cfg, k) }
 
 // Writer is the ingest surface every engine satisfies: feeding events
 // in, serializing state out. Engines that support structural folding
-// (Tree, ConcurrentTree, Sharded) additionally expose Merge with
-// engine-specific signatures; it is not part of Writer because the
-// sampling engine's scaled units have no coherent merge.
+// (Tree, Sharded) additionally expose Merge with engine-specific
+// signatures; it is not part of Writer because the sampling engine's
+// scaled units have no coherent merge.
 type Writer interface {
 	// Add records one event at point p.
 	Add(p uint64)
@@ -239,8 +231,8 @@ type Writer interface {
 // Reader is the query surface every engine satisfies. Estimates are
 // lower bounds: for any tracked range the true count is in
 // [Estimate, Estimate+ε·n]. An Epoch — the pinned consistent snapshot
-// returned by ReaderOf, Handle.Reader, ConcurrentTree.Reader, and
-// Sharded.Reader — is also a Reader, so query code can be written once
+// returned by ReaderOf, Handle.Reader, and Sharded.Reader — is also a
+// Reader, so query code can be written once
 // against this interface and served either live or from a published
 // epoch.
 type Reader interface {
@@ -259,7 +251,7 @@ type Reader interface {
 // Profiler is the combined ingest+query surface every engine satisfies.
 //
 // Deprecated: Profiler remains fully supported — every method keeps its
-// exact signature and the four engines keep satisfying it — but new code
+// exact signature and every engine keeps satisfying it — but new code
 // should hold the narrower Writer and Reader facets: ingest loops a
 // Writer, dashboards a Reader (or a pinned Epoch via ReaderOf for
 // multi-query consistency). The split is what makes the epoch read path
@@ -270,9 +262,9 @@ type Profiler interface {
 }
 
 // Epoch is one immutable published snapshot of a profile: a consistent
-// cut served without locks. Obtain one from ReaderOf, Handle.Reader,
-// ConcurrentTree.Reader, or Sharded.Reader; query it like any Reader;
-// Release it when done. See WithReadSnapshots.
+// cut served without locks. Obtain one from ReaderOf, Handle.Reader, or
+// Sharded.Reader; query it like any Reader; Release it when done. See
+// WithReadSnapshots.
 type Epoch = core.Epoch
 
 // EpochPublisher owns the epoch lifecycle of one engine (publish,
@@ -281,14 +273,12 @@ type Epoch = core.Epoch
 type EpochPublisher = core.EpochPublisher
 
 // ReaderOf returns a pinned consistent epoch for engines with a
-// consistent-cut read path (*ConcurrentTree, *Sharded: lock-free when
-// WithReadSnapshots is enabled, a one-off cut otherwise; *Tree: a
-// detached clone). The caller must Release the epoch. ok is false for
-// engines without consistent cuts (the sampling engine).
+// consistent-cut read path (*Sharded: lock-free when WithReadSnapshots is
+// enabled, a one-off cut otherwise; *Tree: a detached clone). The caller
+// must Release the epoch. ok is false for engines without consistent cuts
+// (the sampling engine).
 func ReaderOf(p Reader) (e *Epoch, ok bool) {
 	switch eng := p.(type) {
-	case *ConcurrentTree:
-		return eng.Reader(), true
 	case *Sharded:
 		return eng.Reader(), true
 	case *Tree:
@@ -302,7 +292,6 @@ func ReaderOf(p Reader) (e *Epoch, ok bool) {
 // surface. Repeated in rap_test.go where they gate the test build.
 var (
 	_ Profiler = (*Tree)(nil)
-	_ Profiler = (*ConcurrentTree)(nil)
 	_ Profiler = (*SampledTree)(nil)
 	_ Profiler = (*Sharded)(nil)
 	_ Reader   = (*Epoch)(nil)

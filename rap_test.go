@@ -11,7 +11,6 @@ import (
 // interface — the facade's core contract.
 var (
 	_ rap.Profiler = (*rap.Tree)(nil)
-	_ rap.Profiler = (*rap.ConcurrentTree)(nil)
 	_ rap.Profiler = (*rap.SampledTree)(nil)
 	_ rap.Profiler = (*rap.Sharded)(nil)
 )
