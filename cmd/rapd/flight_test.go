@@ -516,3 +516,76 @@ func untarBundle(t *testing.T, raw []byte) map[string][]byte {
 	}
 	return entries
 }
+
+// TestQueueSaturationAlertFollowsDropPolicy runs the rules rapd derives
+// from -drop against a live pipeline whose generator outruns its shard,
+// so its one-entry queue sits full. Under -drop block that is lossless
+// backpressure and queue_saturation stays ok; under -drop newest the full
+// queue sheds counted events and the rule goes crit.
+func TestQueueSaturationAlertFollowsDropPolicy(t *testing.T) {
+	for _, tc := range []struct{ drop, want string }{
+		{"block", "ok"},
+		{"newest", "crit"},
+	} {
+		t.Run(tc.drop, func(t *testing.T) {
+			c := cliConfig{
+				bench: "gzip", kind: "value", genN: 1 << 40, seed: 5,
+				shards: 1, queue: 1, batch: 64, drop: tc.drop,
+				epsilon: 0.05, universe: 64, branch: 4,
+				readTimeout: 5 * time.Second, maxRetries: 2,
+			}
+			opts, err := c.options(discardLogger())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			opts.Metrics = reg
+			specs, err := c.specs(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := ingest.Open(opts, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := flight.NewRecorder(reg, flight.Options{Every: time.Millisecond, Depth: 64})
+			eng := flight.NewEngine(rec, c.alertRules()...)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- in.Run(ctx) }()
+			defer func() {
+				cancel()
+				if err := <-done; err != nil {
+					t.Errorf("run: %v", err)
+				}
+			}()
+
+			// Scrape until a frame catches the queue full, then read the
+			// verdict on that frame.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				rec.Scrape(time.Now())
+				var st flight.AlertStatus
+				for _, a := range eng.Snapshot() {
+					if a.Rule.Name == "queue_saturation" {
+						st = a
+					}
+				}
+				if float64(st.Value) == 1 {
+					if st.State != tc.want {
+						t.Fatalf("-drop %s, queue full: queue_saturation %s, want %s", tc.drop, st.State, tc.want)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no scrape saw the queue full (last fill %v)", float64(st.Value))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if dropped := in.Dropped(); (tc.drop == "newest") != (dropped > 0) {
+				t.Fatalf("-drop %s: %d events dropped", tc.drop, dropped)
+			}
+		})
+	}
+}

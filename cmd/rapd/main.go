@@ -145,7 +145,7 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.Uint64Var(&c.seed, "seed", 1, "seed for the generated source")
 	fs.IntVar(&c.shards, "shards", 4, "tree shards")
 	fs.IntVar(&c.queue, "queue", 64, "bounded queue capacity per shard, in batches")
-	fs.IntVar(&c.batch, "batch", 256, "events coalesced per queue entry")
+	fs.IntVar(&c.batch, "batch", 256, "events read from a source and queued as one entry")
 	fs.StringVar(&c.drop, "drop", "block", "overload policy: block (lossless backpressure) | newest (shed + count)")
 	fs.Float64Var(&c.epsilon, "epsilon", core.DefaultEpsilon, "error bound")
 	fs.IntVar(&c.universe, "universe-bits", core.DefaultUniverseBits, "universe width in bits")
@@ -298,6 +298,15 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 	return opts, nil
 }
 
+// alertRules configures the built-in alert rules from the daemon's flags.
+func (c cliConfig) alertRules() []flight.Rule {
+	bcfg := flight.BuiltinConfig{DropNewest: c.drop == "newest"}
+	if c.checkpointDir != "" {
+		bcfg.CheckpointEvery = c.checkpointEvery
+	}
+	return flight.BuiltinRules(bcfg)
+}
+
 func (c cliConfig) specs(stdin io.Reader) ([]ingest.SourceSpec, error) {
 	var specs []ingest.SourceSpec
 	for i, path := range c.traces {
@@ -411,11 +420,7 @@ func run(ctx context.Context, c cliConfig, out io.Writer) error {
 			Depth: c.flightDepth,
 		})
 		rec.Register(opts.Metrics)
-		bcfg := flight.BuiltinConfig{}
-		if c.checkpointDir != "" {
-			bcfg.CheckpointEvery = c.checkpointEvery
-		}
-		eng := flight.NewEngine(rec, flight.BuiltinRules(bcfg)...)
+		eng := flight.NewEngine(rec, c.alertRules()...)
 		eng.Register(opts.Metrics)
 		engPtr.Store(eng) // arm the tracer's force hook
 		stopRec := rec.Start()

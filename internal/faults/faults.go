@@ -152,6 +152,47 @@ func (s *Source) Next() (trace.Event, bool) {
 	return e, true
 }
 
+// NextBatch implements trace.BatchSource with the faults Next injects, at
+// the same ordinals: a batch ends before FailAfter is passed and before
+// the next stalled event, so a stall always blocks a read for its first
+// event, as the BatchSource contract allows.
+func (s *Source) NextBatch(dst []trace.Event) int {
+	if s.err != nil {
+		return 0
+	}
+	if s.FailErr != nil {
+		if s.n >= s.FailAfter {
+			s.err = s.FailErr
+			return 0
+		}
+		dst = dst[:min(uint64(len(dst)), s.FailAfter-s.n)]
+	}
+	if s.StallFor > 0 {
+		next := s.n + 1 // ordinal of the first event of this batch
+		if s.StallEvery == 0 || next%s.StallEvery == 0 {
+			time.Sleep(s.StallFor)
+		}
+		// The next stalled ordinal after this batch's first event.
+		stall := next + 1
+		if s.StallEvery > 0 {
+			stall = (next/s.StallEvery + 1) * s.StallEvery
+		}
+		dst = dst[:min(uint64(len(dst)), stall-next)]
+	}
+	n := trace.NextBatch(s.S, dst)
+	if n == 0 {
+		s.err = sourceErr(s.S)
+		return 0
+	}
+	for i := range dst[:n] {
+		s.n++
+		if s.CorruptEvery > 0 && s.n%s.CorruptEvery == 0 {
+			dst[i].Value ^= s.CorruptXOR
+		}
+	}
+	return n
+}
+
 // Err returns the injected (or underlying) stream error, nil on clean EOF.
 func (s *Source) Err() error { return s.err }
 

@@ -192,3 +192,84 @@ func TestSourceStallAndCorrupt(t *testing.T) {
 		t.Fatalf("two stalls finished in %v", d)
 	}
 }
+
+// TestSourceNextBatchMatchesNext pins NextBatch to Next for every fault:
+// the same events, corrupted at the same ordinals, ending with the same
+// Err, and no read of several events holding a stalled ordinal past its
+// first.
+func TestSourceNextBatchMatchesNext(t *testing.T) {
+	vals := make([]uint64, 1000)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, v := range vals {
+		w.Write(trace.Event{Value: v, Weight: 1})
+	}
+	w.Flush()
+	torn := buf.Bytes()[:buf.Len()-1]
+	for _, tc := range []struct {
+		name string
+		src  func() *Source
+	}{
+		{"clean", func() *Source { return &Source{S: trace.NewSliceSource(vals)} }},
+		{"fail", func() *Source { return &Source{S: trace.NewSliceSource(vals), FailAfter: 700, FailErr: errBoom} }},
+		{"fail-at-0", func() *Source { return &Source{S: trace.NewSliceSource(vals), FailErr: errBoom} }},
+		{"stall", func() *Source {
+			return &Source{S: trace.NewSliceSource(vals), StallEvery: 301, StallFor: time.Millisecond}
+		}},
+		{"stall-1", func() *Source {
+			return &Source{S: trace.NewSliceSource(vals[:20]), StallEvery: 1, StallFor: time.Microsecond}
+		}},
+		{"stall-all", func() *Source {
+			return &Source{S: trace.NewSliceSource(vals[:20]), StallFor: time.Microsecond}
+		}},
+		{"corrupt", func() *Source {
+			return &Source{S: trace.NewSliceSource(vals), CorruptEvery: 7, CorruptXOR: 0xf0}
+		}},
+		{"all", func() *Source {
+			return &Source{S: trace.NewSliceSource(vals), FailAfter: 650, FailErr: errBoom,
+				StallEvery: 250, StallFor: time.Millisecond, CorruptEvery: 3, CorruptXOR: 1 << 40}
+		}},
+		{"torn-reader", func() *Source {
+			return &Source{S: trace.NewReader(bytes.NewReader(torn)), CorruptEvery: 5, CorruptXOR: 1}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := tc.src()
+			want := trace.Collect(ref)
+			for _, size := range []int{1, 7, 256, 2048} {
+				src := tc.src()
+				var got []trace.Event
+				for {
+					dst := make([]trace.Event, size)
+					n := src.NextBatch(dst)
+					if n == 0 {
+						break
+					}
+					if src.StallFor > 0 {
+						for ord := uint64(len(got)) + 2; ord <= uint64(len(got)+n); ord++ {
+							if src.StallEvery == 0 || ord%src.StallEvery == 0 {
+								t.Fatalf("size %d: a read of %d events passed stalled event %d", size, n, ord)
+							}
+						}
+					}
+					got = append(got, dst[:n]...)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("size %d: NextBatch yielded %d events, Next %d", size, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("size %d: event %d = %v, Next gave %v", size, i, got[i], want[i])
+					}
+				}
+				if (src.Err() == nil) != (ref.Err() == nil) ||
+					(src.Err() != nil && src.Err().Error() != ref.Err().Error()) {
+					t.Fatalf("size %d: Err %v, Next ended with %v", size, src.Err(), ref.Err())
+				}
+			}
+		})
+	}
+}

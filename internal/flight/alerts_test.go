@@ -238,6 +238,40 @@ func TestEngineMetricsAndHTTP(t *testing.T) {
 	}
 }
 
+// TestQueueSaturationFollowsDropPolicy: under Block a full queue is
+// lossless backpressure and the rule stays ok; under DropNewest a filling
+// queue is the step before counted drops and the rule fires.
+func TestQueueSaturationFollowsDropPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		dropNewest bool
+		fill       float64
+		want       string
+	}{
+		{false, 1, "ok"},
+		{true, 0.5, "ok"},
+		{true, 0.85, "warn"},
+		{true, 1, "crit"},
+	} {
+		var rule Rule
+		for _, r := range BuiltinRules(BuiltinConfig{DropNewest: tc.dropNewest}) {
+			if r.Name == "queue_saturation" {
+				rule = r
+			}
+		}
+		if rule.Name == "" {
+			t.Fatalf("DropNewest=%v: queue_saturation not listed", tc.dropNewest)
+		}
+		e := newTestEngine(t, rule)
+		e.Eval(frame(0, map[string]float64{
+			`rap_ingest_queue_depth{source="a"}`:    64 * tc.fill,
+			`rap_ingest_queue_capacity{source="a"}`: 64,
+		}))
+		if got := stateOf(t, e, "queue_saturation").State; got != tc.want {
+			t.Errorf("DropNewest=%v, fill %v: %s, want %s", tc.dropNewest, tc.fill, got, tc.want)
+		}
+	}
+}
+
 // TestBuiltinRules sanity-checks the stock set: audit latches crit on any
 // violation, admission maps levels to states, staleness follows cadence.
 func TestBuiltinRules(t *testing.T) {

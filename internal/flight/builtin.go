@@ -8,8 +8,12 @@ type BuiltinConfig struct {
 	// CheckpointEvery is the configured checkpoint cadence; the staleness
 	// rule warns at 3× and goes critical at 10×. Zero disables the rule.
 	CheckpointEvery time.Duration
-	// QueueSatWarn/Crit are ingest queue fill fractions. Defaults 0.8/0.95.
-	QueueSatWarn, QueueSatCrit float64
+	// DropNewest is set when ingest sheds events at a full queue (rapd
+	// -drop newest). Only then does the queue_saturation rule fire, at
+	// 0.8 and 0.95 fill: a full queue is the step before counted drops.
+	// Under Block a full queue is lossless backpressure and the normal
+	// state of a replay, so the rule stays listed but never leaves ok.
+	DropNewest bool
 	// ArenaGrowthWarn/Crit are sustained arena growth rates in bytes/s.
 	// Defaults 8 MiB/s and 64 MiB/s.
 	ArenaGrowthWarn, ArenaGrowthCrit float64
@@ -27,17 +31,16 @@ type BuiltinConfig struct {
 
 // BuiltinRules returns the stock alert rules over the engine's own
 // signals: certified-accuracy violations, admission escalation,
-// checkpoint staleness, queue saturation, arena growth, and trace-ring
-// churn. The audit rule latches at crit by construction — the violation
-// counter is monotone, so once the certificate is broken the alert stays
-// lit for the life of the process, matching the audit's own
-// till-death verdict semantics.
+// checkpoint staleness, queue saturation under DropNewest, arena growth,
+// and stage p99 latency. The audit rule latches at crit by construction —
+// the violation counter is monotone, so once the certificate is broken
+// the alert stays lit for the life of the process, matching the audit's
+// own till-death verdict semantics.
 func BuiltinRules(cfg BuiltinConfig) []Rule {
-	if cfg.QueueSatWarn == 0 {
-		cfg.QueueSatWarn = 0.8
-	}
-	if cfg.QueueSatCrit == 0 {
-		cfg.QueueSatCrit = 0.95
+	// Zero levels disable the queue rule under Block.
+	var queueWarn, queueCrit float64
+	if cfg.DropNewest {
+		queueWarn, queueCrit = 0.8, 0.95
 	}
 	if cfg.ArenaGrowthWarn == 0 {
 		cfg.ArenaGrowthWarn = 8 << 20
@@ -81,13 +84,13 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 		},
 		{
 			Name:   "queue_saturation",
-			Help:   "Ingest queue fill fraction.",
+			Help:   "Ingest queue fill fraction; fires only when a full queue sheds events (-drop newest).",
 			Kind:   Ratio,
 			Series: "rap_ingest_queue_depth",
 			Denom:  "rap_ingest_queue_capacity",
 			Agg:    AggMax,
-			Warn:   cfg.QueueSatWarn,
-			Crit:   cfg.QueueSatCrit,
+			Warn:   queueWarn,
+			Crit:   queueCrit,
 			For:    cfg.For,
 		},
 		{

@@ -73,20 +73,20 @@ type Options struct {
 	// (default 64).
 	QueueLen int
 
-	// BatchLen is how many events a reader coalesces per queue entry
-	// (default 256).
+	// BatchLen is the most events one source read returns (default 256).
+	// Each read crosses from the reader goroutine as one handoff and is
+	// queued as one entry. A read returns what the source has at hand, so
+	// a slow or live source hands off short entries at once instead of
+	// waiting to fill one.
 	BatchLen int
-
-	// FlushEvery bounds how long a partial batch may sit in a reader
-	// before being enqueued anyway (default 50ms), keeping live sources
-	// fresh without giving up batching.
-	FlushEvery time.Duration
 
 	// Drop selects the overload policy (default Block).
 	Drop DropPolicy
 
-	// ReadTimeout, when > 0, bounds how long a single source read may
-	// take before the source is declared stalled and reopened.
+	// ReadTimeout, when > 0, bounds how long one source read of up to
+	// BatchLen events may take before the source is declared stalled and
+	// reopened. The clock runs only while the source is read: time a read
+	// spends waiting for queue space under Block does not count.
 	ReadTimeout time.Duration
 
 	// MaxRetries is how many consecutive failed attempts (open errors,
@@ -198,9 +198,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchLen <= 0 {
 		o.BatchLen = 256
-	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = 50 * time.Millisecond
 	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 5
@@ -982,25 +979,32 @@ func (in *Ingestor) supervise(ctx context.Context, ss *sourceState) {
 // already accounted for by ss.consumed (crash recovery or a mid-stream
 // reopen). Reads run in a helper goroutine so a stalled source can be
 // detected and abandoned; the helper exits once the source unblocks or is
-// closed. pump reports whether any new events were handed off, and returns
-// nil only on clean EOF.
+// closed. Each read of up to BatchLen events crosses to pump as one slice
+// and becomes one queue entry. The stall timer covers only the source: it
+// restarts after each handoff, so time blocked in enqueue is never taken
+// for a stall. pump reports whether any new events were handed off, and
+// returns nil only on clean EOF.
 func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source) (progressed bool, err error) {
-	type fetched struct {
-		e  trace.Event
-		ok bool
-	}
-	items := make(chan fetched)
+	reads := make(chan []trace.Event)
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
-		defer close(items)
+		defer close(reads)
+		// Reads fill successive slices of one BatchLen allocation, so a
+		// source that returns short reads still costs one allocation per
+		// BatchLen events.
+		var buf []trace.Event
 		for {
-			e, ok := src.Next()
+			if len(buf) == 0 {
+				buf = make([]trace.Event, in.opts.BatchLen)
+			}
+			n := trace.NextBatch(src, buf)
+			if n == 0 {
+				return
+			}
 			select {
-			case items <- fetched{e, ok}:
-				if !ok {
-					return
-				}
+			case reads <- buf[:n:n]:
+				buf = buf[n:]
 			case <-stop:
 				return
 			}
@@ -1008,19 +1012,6 @@ func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source)
 	}()
 
 	skip := ss.consumed
-	pending := make([]trace.Event, 0, in.opts.BatchLen)
-	flush := func() bool {
-		if len(pending) == 0 {
-			return true
-		}
-		evs := pending
-		pending = make([]trace.Event, 0, in.opts.BatchLen)
-		return in.enqueue(ctx, ss, evs)
-	}
-
-	flushT := time.NewTimer(in.opts.FlushEvery)
-	flushT.Stop()
-	defer flushT.Stop()
 	var stallC <-chan time.Time
 	var stallT *time.Timer
 	if in.opts.ReadTimeout > 0 {
@@ -1031,41 +1022,27 @@ func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source)
 
 	for {
 		select {
-		case it := <-items:
-			if !it.ok {
-				if !flush() {
+		case evs, ok := <-reads:
+			if !ok {
+				return progressed, sourceErr(src)
+			}
+			if skip > 0 {
+				k := min(skip, uint64(len(evs)))
+				skip -= k
+				evs = evs[k:]
+			}
+			if len(evs) > 0 {
+				progressed = true
+				if !in.enqueue(ctx, ss, evs) {
 					return progressed, ctx.Err()
 				}
-				if serr := sourceErr(src); serr != nil {
-					return progressed, serr
-				}
-				return progressed, nil
 			}
 			if stallT != nil {
 				stallT.Reset(in.opts.ReadTimeout)
 			}
-			if skip > 0 {
-				skip--
-				continue
-			}
-			pending = append(pending, it.e)
-			progressed = true
-			if len(pending) >= in.opts.BatchLen {
-				if !flush() {
-					return progressed, ctx.Err()
-				}
-			} else if len(pending) == 1 {
-				flushT.Reset(in.opts.FlushEvery)
-			}
-		case <-flushT.C:
-			if !flush() {
-				return progressed, ctx.Err()
-			}
 		case <-stallC:
-			flush()
 			return progressed, fmt.Errorf("%w after %v", ErrStalled, in.opts.ReadTimeout)
 		case <-ctx.Done():
-			flush()
 			return progressed, ctx.Err()
 		}
 	}

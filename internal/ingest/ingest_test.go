@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,12 +9,14 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rap/internal/core"
 	"rap/internal/exact"
 	"rap/internal/faults"
+	"rap/internal/obs"
 	"rap/internal/trace"
 )
 
@@ -363,5 +366,113 @@ func TestIngestConcurrentQueries(t *testing.T) {
 	wg.Wait()
 	if got := in.N(); got != 60_000 {
 		t.Fatalf("N = %d, want 60000", got)
+	}
+}
+
+// TestIngestBackpressureIsNotAStall wedges the shard long past
+// ReadTimeout while the reader holds a read it cannot queue. Waiting for
+// queue space under Block is backpressure, not a stalled source: a
+// one-shot stream that cannot reopen must finish with every event and no
+// retry.
+func TestIngestBackpressureIsNotAStall(t *testing.T) {
+	const total = 4_000
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, v := range zipfVals(total, 21) {
+		if err := w.Write(trace.Event{Value: v, Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	pr, pw := io.Pipe()
+
+	opts := testOptions(1)
+	opts.QueueLen = 1
+	opts.BatchLen = 16
+	opts.ReadTimeout = 20 * time.Millisecond
+	opts.MaxRetries = 1
+	in, err := Open(opts, []SourceSpec{ReaderSource("pipe", pr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Feed the stream in six chunks, each written while the shard is
+	// wedged for five read timeouts, so the reader fills the queue and
+	// then blocks in enqueue holding a read.
+	const wedges = 6
+	go func() {
+		defer pw.Close()
+		for i := 0; i < wedges; i++ {
+			held := make(chan struct{})
+			go in.engine.WithShard(0, func(*core.Tree) {
+				close(held)
+				time.Sleep(5 * opts.ReadTimeout)
+			})
+			<-held
+			if _, err := pw.Write(data[i*len(data)/wedges : (i+1)*len(data)/wedges]); err != nil {
+				return
+			}
+		}
+	}()
+	if err := in.Run(context.Background()); err != nil {
+		t.Fatalf("Run = %v: queue backpressure was taken for a stalled source", err)
+	}
+	st := in.Stats().Sources[0]
+	if st.Applied != total || st.Retries != 0 || st.Failed {
+		t.Fatalf("source stats %+v, want %d applied and no retries", st, total)
+	}
+}
+
+// countingSource counts the calls the pump makes into a BatchSource.
+type countingSource struct {
+	src           trace.BatchSource
+	next, batches atomic.Int64
+}
+
+func (c *countingSource) Next() (trace.Event, bool) {
+	c.next.Add(1)
+	return c.src.Next()
+}
+
+func (c *countingSource) NextBatch(dst []trace.Event) int {
+	c.batches.Add(1)
+	return c.src.NextBatch(dst)
+}
+
+// TestIngestHandoffPerRead pins the handoff granularity with counters: n
+// events from a batching source take at most ceil(n/BatchLen)+1 reads
+// (the last one reports the end), no per-event Next, and one queue entry
+// per read.
+func TestIngestHandoffPerRead(t *testing.T) {
+	const total, batchLen = 10_000, 64
+	src := &countingSource{src: trace.NewSliceSource(zipfVals(total, 5))}
+	opts := testOptions(1)
+	opts.BatchLen = batchLen
+	opts.Metrics = obs.NewRegistry()
+	in, err := Open(opts, []SourceSpec{{
+		Name: "counted",
+		Open: func() (trace.Source, error) { return src, nil },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.N(); got != total {
+		t.Fatalf("N = %d, want %d", got, total)
+	}
+	const entries = (total + batchLen - 1) / batchLen
+	if got := src.batches.Load(); got > entries+1 {
+		t.Fatalf("%d NextBatch calls for %d events at BatchLen %d, want at most %d",
+			got, total, batchLen, entries+1)
+	}
+	if got := src.next.Load(); got != 0 {
+		t.Fatalf("pump called Next %d times on a BatchSource", got)
+	}
+	if got := in.hApply[0].Count(); got != entries {
+		t.Fatalf("%d queue entries applied, want one per full read: %d", got, entries)
 	}
 }

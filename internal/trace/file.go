@@ -120,6 +120,37 @@ func (tr *Reader) Next() (Event, bool) {
 	return Event{Value: v, Weight: w}, true
 }
 
+// NextBatch implements BatchSource. The first event goes through Next,
+// which reads the header, refills the buffer and reports errors; the rest
+// are the whole events already buffered, decoded in place. An incomplete
+// or malformed varint ends the batch untouched, so the next Next call
+// reads or reports it exactly as it would have without batching.
+func (tr *Reader) NextBatch(dst []Event) int {
+	e, ok := tr.Next()
+	if !ok {
+		return 0
+	}
+	dst[0] = e
+	// Peek and Discard stay within the buffered bytes, so neither fails.
+	buf, _ := tr.r.Peek(tr.r.Buffered())
+	n, off := 1, 0
+	for n < len(dst) {
+		v, k := binary.Uvarint(buf[off:])
+		if k <= 0 {
+			break
+		}
+		w, kw := binary.Uvarint(buf[off+k:])
+		if kw <= 0 {
+			break
+		}
+		dst[n] = Event{Value: v, Weight: w}
+		n++
+		off += k + kw
+	}
+	_, _ = tr.r.Discard(off)
+	return n
+}
+
 // Err returns the first decode error encountered, or nil on clean EOF.
 func (tr *Reader) Err() error { return tr.err }
 

@@ -23,6 +23,32 @@ type Source interface {
 	Next() (Event, bool)
 }
 
+// BatchSource is a Source that can hand over many events per call.
+// NextBatch fills a prefix of dst, which must not be empty, and returns its
+// length. It may block only for its first event: whatever follows is what
+// the source already has at hand. It returns 0 only at the end of the
+// stream, which it reports the way Next does.
+type BatchSource interface {
+	Source
+	NextBatch(dst []Event) int
+}
+
+// NextBatch reads up to len(dst) events from src into dst and returns how
+// many it read, 0 only at the end of the stream. A BatchSource fills dst
+// natively; any other source yields one event per call, so a source that
+// blocks between events is never held back to fill a batch.
+func NextBatch(src Source, dst []Event) int {
+	if bs, ok := src.(BatchSource); ok {
+		return bs.NextBatch(dst)
+	}
+	e, ok := src.Next()
+	if !ok {
+		return 0
+	}
+	dst[0] = e
+	return 1
+}
+
 // Sink consumes events one at a time.
 type Sink interface {
 	Consume(Event)
@@ -55,7 +81,18 @@ func (s *SliceSource) Next() (Event, bool) {
 	return Event{Value: v, Weight: 1}, true
 }
 
-// FuncSource adapts a generator function to the Source interface.
+// NextBatch implements BatchSource.
+func (s *SliceSource) NextBatch(dst []Event) int {
+	n := min(len(dst), len(s.values)-s.pos)
+	for i, v := range s.values[s.pos : s.pos+n] {
+		dst[i] = Event{Value: v, Weight: 1}
+	}
+	s.pos += n
+	return n
+}
+
+// FuncSource adapts a generator function to the Source interface. The
+// function must not block, and must keep returning false once it has.
 type FuncSource func() (uint64, bool)
 
 // Next implements Source.
@@ -67,7 +104,21 @@ func (f FuncSource) Next() (Event, bool) {
 	return Event{Value: v, Weight: 1}, true
 }
 
-// Limit caps a source at n events.
+// NextBatch implements BatchSource, calling the generator until dst is
+// full or the stream ends.
+func (f FuncSource) NextBatch(dst []Event) int {
+	for i := range dst {
+		v, ok := f()
+		if !ok {
+			return i
+		}
+		dst[i] = Event{Value: v, Weight: 1}
+	}
+	return len(dst)
+}
+
+// Limit caps a source at n events. The result is a BatchSource, batching
+// natively when src does.
 func Limit(src Source, n uint64) Source {
 	return &limitSource{src: src, left: n}
 }
@@ -83,6 +134,18 @@ func (l *limitSource) Next() (Event, bool) {
 	}
 	l.left--
 	return l.src.Next()
+}
+
+func (l *limitSource) NextBatch(dst []Event) int {
+	if l.left < uint64(len(dst)) {
+		dst = dst[:l.left]
+	}
+	if len(dst) == 0 {
+		return 0
+	}
+	n := NextBatch(l.src, dst)
+	l.left -= uint64(n)
+	return n
 }
 
 // Pump drains src into sink and returns the number of events (total
