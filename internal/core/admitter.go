@@ -5,11 +5,12 @@ package core
 // denial-of-service surface — every cold point lands in a leaf, pushes its
 // counter toward the split threshold, and forces structure (and later merge
 // churn) for mass that never becomes hot. An Admitter sits on the ingest
-// path in front of credit() and may refuse a cold event before it can feed
-// the split machinery. Refused weight is counted into the tree's
-// unadmitted ledger instead of n, so the loss is visible and bounded:
-// EstimateBounds charges the whole ledger to every upper bound, and the
-// online audit (internal/audit) folds it into the certified error budget.
+// path between the descent and the counter credit and may refuse a cold
+// event before it can feed the split machinery. Refused weight is counted
+// into the tree's unadmitted ledger instead of n, so the loss is visible
+// and bounded: EstimateBounds charges the whole ledger to every upper
+// bound, and the online audit (internal/audit) folds it into the
+// certified error budget.
 
 // Admitter gates events before they are credited to the tree. Implemented
 // by internal/admit's per-shard Gate; defined here (like Tap) so the hot

@@ -101,82 +101,73 @@ func sortUint64s(s []uint64) {
 	}
 }
 
-// TestLeafCacheSurvivesStructuralRewrites is the stale-cache regression
-// suite: each subtest warms the last-leaf cache with a batched run, fires
-// one structural rewrite that detaches or replaces nodes (merge batch,
-// Merge, Restore), then keeps batching and requires the tree to stay
-// byte-identical to a control that never cached. Before cache
-// invalidation was wired into these rewrites, each subtest corrupted
-// counts by crediting a node the tree no longer reaches.
-func TestLeafCacheSurvivesStructuralRewrites(t *testing.T) {
+// TestStartTableSurvivesStructuralRewrites is the stale-slot regression
+// suite: each subtest warms the start table with a batched run, fires one
+// structural rewrite that detaches, renumbers or replaces nodes (merge
+// batch, Merge, Restore), then requires every warm point's start-table
+// descent to land where a root descent does, and keeps requiring it
+// before every update of a further batched run. A rewrite that left
+// stale slots behind would start descents at freed or renumbered nodes.
+func TestStartTableSurvivesStructuralRewrites(t *testing.T) {
 	cfg := batchTestConfig()
 	warm := skewedPoints(4, 50_000)
 	cont := skewedPoints(5, 50_000)
 
-	run := func(t *testing.T, rewrite func(tr *Tree), controlRewrite func(tr *Tree)) {
+	run := func(t *testing.T, rewrite func(tr *Tree)) {
 		t.Helper()
-		cached := MustNew(cfg)
-		control := MustNew(cfg)
-		cached.AddBatch(warm) // warms lastLeaf
-		for _, p := range warm {
-			control.Add(p)
-		}
-		rewrite(cached)
-		controlRewrite(control)
-		cached.AddBatch(cont)
-		for _, p := range cont {
-			control.Add(p)
-		}
-		if cached.Total() != cached.N() {
-			t.Fatalf("stale cache lost events: Total=%d N=%d", cached.Total(), cached.N())
-		}
-		if !bytes.Equal(mustMarshal(t, cached), mustMarshal(t, control)) {
-			t.Fatal("batched tree diverged from control after structural rewrite")
+		tr := MustNew(cfg)
+		tr.AddBatch(warm)
+		rewrite(tr)
+		checkDescents(t, tr, warm)
+		tr.AddBatch(cont)
+		if tr.Total() != tr.N() {
+			t.Fatalf("stale slot lost events: Total=%d N=%d", tr.Total(), tr.N())
 		}
 	}
 
 	t.Run("merge-batch", func(t *testing.T) {
-		run(t, (*Tree).MergeNow, (*Tree).MergeNow)
+		run(t, (*Tree).MergeNow)
 	})
 	t.Run("merge", func(t *testing.T) {
 		other := MustNew(cfg)
 		other.AddBatch(skewedPoints(6, 30_000))
-		rewrite := func(tr *Tree) {
+		run(t, func(tr *Tree) {
 			if err := tr.Merge(other); err != nil {
 				t.Fatal(err)
 			}
-		}
-		run(t, rewrite, rewrite)
+		})
 	})
 	t.Run("restore", func(t *testing.T) {
 		donor := MustNew(cfg)
 		donor.AddBatch(skewedPoints(7, 30_000))
 		snap := mustMarshal(t, donor)
-		rewrite := func(tr *Tree) {
+		run(t, func(tr *Tree) {
 			if err := tr.UnmarshalBinary(snap); err != nil {
 				t.Fatal(err)
 			}
-		}
-		run(t, rewrite, rewrite)
+		})
 	})
 }
 
-// TestCloneDoesNotShareLeafCache: a clone taken mid-batch must not carry
-// the donor's cache — batched writes through an aliased cache would land
-// in the donor's nodes.
-func TestCloneDoesNotShareLeafCache(t *testing.T) {
+// TestCloneDoesNotShareStartTable: a clone taken from a warm writer must
+// not share its start table — slots a writing clone refreshed would point
+// the donor's descents at the clone's node indices.
+func TestCloneDoesNotShareStartTable(t *testing.T) {
 	cfg := batchTestConfig()
 	donor := MustNew(cfg)
-	donor.AddBatch(skewedPoints(8, 40_000)) // leaves lastLeaf warm
+	donor.AddBatch(skewedPoints(8, 40_000))
 	before := mustMarshal(t, donor)
 
 	clone := donor.Clone()
+	checkDescents(t, clone, nil)
 	clone.AddBatch(skewedPoints(9, 40_000))
-
 	if !bytes.Equal(before, mustMarshal(t, donor)) {
 		t.Fatal("mutating a clone changed the donor tree")
 	}
 	if clone.Total() != clone.N() {
 		t.Fatalf("clone lost events: Total=%d N=%d", clone.Total(), clone.N())
 	}
+
+	checkDescents(t, donor, skewedPoints(9, 40_000))
+	donor.AddBatch(skewedPoints(10, 40_000))
 }

@@ -4,7 +4,7 @@ package core_test
 // at one shard is a single tree behind one lock — the engine
 // rap.WithConcurrent builds. These tests pin what a caller sharing one
 // tree across goroutines relies on: exact counts under parallel feeds,
-// gates and hooks surviving Restore, a leaf cache that never outlives
+// gates and hooks surviving Restore, a start table that never outlives
 // the tree it indexes, and a query path that takes no lock.
 
 import (
@@ -121,7 +121,8 @@ func TestConcurrentSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ArenaBytes is physical slab capacity, not logical state — a restored
-	// tree allocates exactly what it needs, without growth slack.
+	// tree allocates exactly what it needs, without growth slack. Descent
+	// work and the start table are not carried by snapshots either.
 	got := back.Stats()
 	if got.ArenaBytes == 0 {
 		t.Fatal("restored stats missing arena footprint")
@@ -129,6 +130,8 @@ func TestConcurrentSnapshotRestore(t *testing.T) {
 	got.ArenaBytes, want.ArenaBytes = 0, 0
 	got.CounterPoolBytes, want.CounterPoolBytes = 0, 0
 	got.CounterPromotions, want.CounterPromotions = 0, 0
+	got.DescentLevels, want.DescentLevels = 0, 0
+	got.StartTableBytes, want.StartTableBytes = 0, 0
 	if got != want {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
@@ -158,8 +161,11 @@ func TestConcurrentSnapshotRestore(t *testing.T) {
 }
 
 // TestConcurrentRestoreDropsLeafCache: an engine that batched before
-// Restore must keep batching correctly after, byte for byte against a
-// fresh control tree fed the same way.
+// Restore must start every later descent where a root descent agrees —
+// the restored tree must not inherit the replaced tree's descent start
+// table — and keep batching byte for byte like a fresh control fed the
+// same way. (The name is from the one-entry leaf cache the start table
+// replaced.)
 func TestConcurrentRestoreDropsLeafCache(t *testing.T) {
 	cfg := core.TestConfig(16, 4, 0.05)
 	cfg.FirstMerge = 64
@@ -171,10 +177,12 @@ func TestConcurrentRestoreDropsLeafCache(t *testing.T) {
 	}
 
 	c := concurrent(t, cfg)
-	c.AddBatch(core.SkewedPoints(11, 20_000))
+	warm := core.SkewedPoints(11, 20_000)
+	c.AddBatch(warm)
 	if err := c.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
+	c.WithShard(0, func(tr *core.Tree) { core.CheckDescents(t, tr, warm) })
 	cont := core.SkewedPoints(12, 20_000)
 	c.AddBatch(cont)
 

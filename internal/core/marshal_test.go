@@ -34,12 +34,15 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	// ArenaBytes and CounterPoolBytes track physical slab capacity (growth
 	// slack included) and are legitimately smaller after a restore;
-	// CounterPromotions is ingest history snapshots do not carry. All
-	// logical state must match.
+	// CounterPromotions and DescentLevels are ingest history snapshots do
+	// not carry, and a restored tree has no start table until it descends.
+	// All logical state must match.
 	got, want := back.Stats(), tr.Stats()
 	got.ArenaBytes, want.ArenaBytes = 0, 0
 	got.CounterPoolBytes, want.CounterPoolBytes = 0, 0
 	got.CounterPromotions, want.CounterPromotions = 0, 0
+	got.DescentLevels, want.DescentLevels = 0, 0
+	got.StartTableBytes, want.StartTableBytes = 0, 0
 	if got != want {
 		t.Fatalf("round trip changed stats:\n%+v\n%+v", want, got)
 	}

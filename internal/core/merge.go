@@ -47,12 +47,13 @@ func (t *Tree) Merge(other *Tree) error {
 		return ErrConfigMismatch
 	}
 	t.graft(0, other, 0)
-	t.invalidateLeafCache()
+	t.clearStart()
 	t.n += other.n
 	t.unadmitted += other.unadmitted
 	t.splits += other.splits
 	t.merges += other.merges
 	t.mergeBatches += other.mergeBatches
+	t.descentLevels += other.descentLevels
 	if t.nodes > t.maxNodes {
 		t.maxNodes = t.nodes
 	}
@@ -141,9 +142,9 @@ func (t *Tree) Clone() *Tree {
 	nt.hooks = nil
 	nt.tap = nil
 	nt.adm = nil // the clone is a passive snapshot; it keeps the unadmitted ledger
-	// Slot indices stay meaningful across the copy, but the clone starts
-	// cold anyway: a snapshot's first batch re-warms the cache in one miss.
-	nt.lastLeaf = nilIdx
+	// A shared table would let a clone that writes plant its slot indices
+	// in the donor's; a clone that descends builds its own.
+	nt.start = nil
 	nt.arena = append([]node(nil), t.arena...)
 	for k, fl := range t.free {
 		nt.free[k] = append([]uint32(nil), fl...)

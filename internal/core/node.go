@@ -10,8 +10,8 @@ import "math/bits"
 // 24-byte header plus a pointer-chasing indirection per descent step — is
 // replaced by one add. Indices stay valid when the slab grows (append may
 // move the backing array, which would invalidate pointers but not
-// offsets), which is what lets the last-leaf cache of batch.go survive
-// arena growth without revalidation machinery.
+// offsets), which is what lets the descent start table of start.go hold
+// slots across splits; only compaction, which renumbers them, clears it.
 //
 // The node is 12 bytes. Two fields of the original arena layout were
 // evicted to get there, halving the slab and roughly doubling how much of
@@ -30,9 +30,7 @@ import "math/bits"
 // parent" case of Section 3.3) keep their slot but are marked dead; a
 // block whose slots are all dead is returned to a size-keyed freelist and
 // recycled by later splits, so a workload that repeatedly splits and
-// merges churns no memory at all. Dead marking doubles as staleness
-// detection: any cached index whose slot was freed fails the liveness
-// check instead of silently crediting a detached node.
+// merges churns no memory at all.
 type node struct {
 	cref      uint32 // packed counter reference (counter.go); crefNone while dead
 	childBase uint32 // base slot of the children block; nilIdx = leaf
@@ -47,9 +45,8 @@ type node struct {
 	cmask  uint8
 }
 
-// nilIdx is the "no children" sentinel for childBase and the "no entry"
-// sentinel for the last-leaf cache. It is never a valid slot: the arena
-// would have to hold 2^32-1 nodes first.
+// nilIdx is the "no children" sentinel for childBase. It is never a valid
+// slot: the arena would have to hold 2^32-1 nodes first.
 const nilIdx = ^uint32(0)
 
 // maxFreeLists bounds log2(fanout): Branch is validated to at most 256, so

@@ -144,13 +144,16 @@ func TestPropMarshalRoundTrip(t *testing.T) {
 		// ArenaBytes and CounterPoolBytes are physical slab capacity, not
 		// logical state: a restored tree allocates exactly what it needs
 		// while the live tree carries growth slack and freed pool slots.
-		// CounterPromotions is ingest history, which snapshots do not carry
-		// (a restored counter is allocated at its final class directly). All
-		// three are excluded from round-trip equality.
+		// CounterPromotions and DescentLevels are ingest history, which
+		// snapshots do not carry (a restored counter is allocated at its
+		// final class directly), and a restored tree has no start table
+		// until it descends. All five are excluded from round-trip equality.
 		want, got := tr.Stats(), back.Stats()
 		want.ArenaBytes, got.ArenaBytes = 0, 0
 		want.CounterPoolBytes, got.CounterPoolBytes = 0, 0
 		want.CounterPromotions, got.CounterPromotions = 0, 0
+		want.DescentLevels, got.DescentLevels = 0, 0
+		want.StartTableBytes, got.StartTableBytes = 0, 0
 		return got == want && back.Total() == tr.Total()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -1,0 +1,197 @@
+package core
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"rap/internal/stats"
+	"rap/internal/workload"
+)
+
+// rootDescend is the reference the start table is held to: a descent from
+// the root that derives each child slot from the tree geometry rather than
+// from the cached cshift/cmask.
+func (t *Tree) rootDescend(p uint64) uint32 {
+	vi := uint32(0)
+	for {
+		v := &t.arena[vi]
+		if v.childBase == nilIdx {
+			return vi
+		}
+		ci := v.childBase + uint32(t.childIndex(v.plen, p))
+		if t.arena[ci].dead {
+			return vi
+		}
+		vi = ci
+	}
+}
+
+// descentCheck is a Tap that, before every update of tr, requires the
+// start-table descent to land on the node a root descent reaches. Its
+// descend refreshes only the slot the update's own descent refreshes the
+// same way, and descent work is not tree state, so the check leaves the
+// snapshot bytes alone.
+type descentCheck struct {
+	tb testing.TB
+	tr *Tree
+}
+
+func (c descentCheck) Tap(p, _ uint64) {
+	if got, want := c.tr.descend(p), c.tr.rootDescend(p); got != want {
+		c.tb.Fatalf("point %#x: start-table descent reached slot %d (plen %d), root descent slot %d (plen %d)",
+			p, got, c.tr.arena[got].plen, want, c.tr.arena[want].plen)
+	}
+}
+
+func (descentCheck) TreeReplaced() {}
+
+// checkDescents checks every point in sweep right away, then installs a
+// descentCheck on tr. UnmarshalBinary and Clone drop taps, so call it
+// again on the restored tree or the clone.
+func checkDescents(tb testing.TB, tr *Tree, sweep []uint64) {
+	tb.Helper()
+	c := descentCheck{tb: tb, tr: tr}
+	for _, p := range sweep {
+		c.Tap(p&tr.mask, 1)
+	}
+	tr.SetTap(c)
+}
+
+// fuzzPoint draws a point whose leading-zero count is spread over the
+// whole word, with half the draws from a few hot values so the tree grows
+// the deep zero-spine paths the table keys on.
+func fuzzPoint(rng *rand.Rand) uint64 {
+	hot := [...]uint64{0, 1, 0x2a, 0x1000, 0x7fff_ffff, 1<<40 | 3, ^uint64(0) >> 1}
+	if rng.Intn(2) == 0 {
+		return hot[rng.Intn(len(hot))]
+	}
+	return rng.Uint64() >> rng.Intn(65)
+}
+
+func fuzzSamples(rng *rand.Rand, n int) []Sample {
+	out := make([]Sample, n)
+	for i := range out {
+		out[i] = Sample{Value: fuzzPoint(rng), Weight: uint64(rng.Intn(4))}
+	}
+	return out
+}
+
+// FuzzDescentStartTable holds the descent start table to a root descent
+// before every update, at the universe width and branching factor the
+// corpus picks, through every rewrite a writer tree sees: merge batches,
+// Merge, a snapshot restore, and a Clone with both sides writing after it.
+// The corpus is (w, b, an 8-byte event seed) and then one byte per
+// operation; the high bit of a Clone makes the clone the tree that
+// carries on. Inputs stay short so the fuzzer's minimizer stays cheap.
+func FuzzDescentStartTable(f *testing.F) {
+	widths := []int{64, 63, 32, 20, 7}
+	branches := []int{2, 4, 8, 256}
+	ops := []byte{0, 1, 2, 1, 3, 0, 1, 4, 1, 5, 0, 1, 2, 0x85, 1, 3, 1}
+	for wi := range widths {
+		for bi := range branches {
+			seed := binary.LittleEndian.AppendUint64([]byte{byte(wi), byte(bi)}, uint64(wi*len(branches)+bi))
+			f.Add(append(seed, ops...))
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 10 {
+			return
+		}
+		cfg := testConfig(widths[int(data[0])%len(widths)], branches[int(data[1])%len(branches)], 0.05)
+		cfg.FirstMerge = 16 // merge batches, and so table clears, come often
+		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(data[2:10]))))
+		tr := MustNew(cfg)
+		checkDescents(t, tr, nil)
+		for i, op := range data[10:min(len(data), 10+32)] {
+			switch (op & 0x7f) % 6 {
+			case 0:
+				for range 64 {
+					tr.AddN(fuzzPoint(rng), 1+uint64(rng.Intn(16)))
+				}
+			case 1:
+				tr.AddSamples(fuzzSamples(rng, 256))
+			case 2:
+				tr.MergeNow()
+			case 3:
+				other := MustNew(cfg)
+				other.AddSamples(fuzzSamples(rng, 512))
+				if err := tr.Merge(other); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				if err := tr.UnmarshalBinary(mustMarshal(t, tr)); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				checkDescents(t, tr, nil)
+			case 5:
+				clone := tr.Clone()
+				checkDescents(t, clone, nil)
+				clone.AddSamples(fuzzSamples(rng, 256))
+				tr.AddSamples(fuzzSamples(rng, 256))
+				if op&0x80 != 0 {
+					tr = clone
+				}
+			}
+		}
+		if tr.Total() != tr.N() {
+			t.Fatalf("Total %d != N %d", tr.Total(), tr.N())
+		}
+	})
+}
+
+// TestDescentLevelsPerEvent is the deterministic gate on descent work. A
+// root descent walks ~26 levels per gzip load value and ~31 per micro
+// Zipf point at DefaultConfig; from the start table, an update walks only
+// the few levels below its slot. The counts repeat exactly on any machine,
+// so unlike a nanosecond baseline this catches a descent that silently
+// went back to the root.
+func TestDescentLevelsPerEvent(t *testing.T) {
+	const n = 1_000_000
+	perEvent := func(tr *Tree) float64 { return float64(tr.Stats().DescentLevels) / n }
+
+	t.Run("gzip-values", func(t *testing.T) {
+		b, err := workload.ByName("gzip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := b.Values(1, n)
+		tr := MustNew(DefaultConfig())
+		chunk := make([]Sample, 0, 256)
+		for i := 0; i < n; i++ {
+			e, _ := src.Next()
+			chunk = append(chunk, Sample{Value: e.Value, Weight: e.Weight})
+			if len(chunk) == cap(chunk) {
+				tr.AddSamples(chunk)
+				chunk = chunk[:0]
+			}
+		}
+		tr.AddSamples(chunk)
+		got := perEvent(tr)
+		t.Logf("gzip values: %.2f levels/event", got)
+		if got > 4 {
+			t.Fatalf("gzip values walked %.2f levels/event, want <= 4", got)
+		}
+	})
+
+	// The rapbench micro add/zipf stream: a 64Ki-point Zipf(2^20, 1.2)
+	// table, seed 1, cycled.
+	t.Run("micro-zipf", func(t *testing.T) {
+		rng := stats.NewSplitMix64(1)
+		zipf := stats.NewZipf(rng, 1<<20, 1.2)
+		points := make([]uint64, 1<<16)
+		for i := range points {
+			points[i] = uint64(zipf.Rank())
+		}
+		tr := MustNew(DefaultConfig())
+		for i := 0; i < n; i++ {
+			tr.Add(points[i&(len(points)-1)])
+		}
+		got := perEvent(tr)
+		t.Logf("micro zipf: %.2f levels/event", got)
+		if got > 1 {
+			t.Fatalf("micro zipf walked %.2f levels/event, want <= 1", got)
+		}
+	})
+}

@@ -62,15 +62,10 @@ type Tree struct {
 	adm        Admitter
 	unadmitted uint64
 
-	// lastLeaf is the one-entry leaf cache of the batched ingest path
-	// (batch.go): the arena slot the previous batched update landed in,
-	// nilIdx when empty, with the leaf's bounds carried alongside (nodes
-	// no longer store lo, so the cache keeps the copy validation needs).
-	// It is revalidated before every use and dropped by structural
-	// rewrites.
-	lastLeaf uint32
-	lastLo   uint64
-	lastHi   uint64
+	// start is the descent start table (start.go), nil until the first
+	// descent. descentLevels counts the child steps descents walked.
+	start         *startTable
+	descentLevels uint64
 }
 
 // Stats is a snapshot of the tree's bookkeeping counters.
@@ -85,6 +80,14 @@ type Stats struct {
 	Merges       uint64 // nodes folded into their parents
 	MergeBatches uint64 // batched merge passes run
 	Height       int    // maximum tree height H
+
+	// StartTableBytes is the descent start table's footprint (start.go),
+	// kept out of ArenaBytes so that stays node storage; 0 until the
+	// first update.
+	StartTableBytes int
+	// DescentLevels counts the tree levels update descents walked below
+	// their start-table slot: a work counter, which snapshots do not carry.
+	DescentLevels uint64
 
 	// Counter-pool occupancy and promotion accounting (see counter.go).
 	CounterSlots8     int    // live 8-bit pooled counters
@@ -121,7 +124,6 @@ func newTree(cfg Config, wide bool) (*Tree, error) {
 		arena:        []node{{cref: crefNone, childBase: nilIdx}},
 		wideCounters: wide,
 		nodes:        1,
-		lastLeaf:     nilIdx,
 	}
 	t.arena[0].cref = t.counterAlloc(0)
 	t.maxNodes = 1
@@ -183,6 +185,9 @@ func (t *Tree) Stats() Stats {
 		MergeBatches: t.mergeBatches,
 		Height:       t.height,
 
+		StartTableBytes: t.startTableBytes(),
+		DescentLevels:   t.descentLevels,
+
 		CounterSlots8:     t.pool.live(0),
 		CounterSlots16:    t.pool.live(1),
 		CounterSlots32:    t.pool.live(2),
@@ -232,50 +237,22 @@ func (t *Tree) AddN(p uint64, weight uint64) {
 		t.tap.Tap(p, weight)
 	}
 
-	// Find the smallest live range covering p: descend while a covering
-	// child exists. Holes left by merges credit the parent (Section 3.3).
+	// Find the smallest live range covering p: descend from p's start-table
+	// slot while a covering child exists. Holes left by merges credit the
+	// parent (Section 3.3).
 	vi := t.descend(p)
 	if t.adm != nil && !t.adm.Admit(p, weight, int(t.arena[vi].plen)) {
 		t.unadmitted += weight
 		return
 	}
 	t.n += weight
-	t.credit(vi, p, weight)
-}
-
-// descend returns the slot of the smallest live node covering p.
-func (t *Tree) descend(p uint64) uint32 {
-	arena := t.arena
-	vi := uint32(0)
-	v := &arena[0]
-	for {
-		cb := v.childBase
-		if cb == nilIdx {
-			return vi
-		}
-		ci := cb + uint32((p>>v.cshift)&uint64(v.cmask))
-		c := &arena[ci]
-		// The liveness flag shares an 8-byte word with childBase/cshift/
-		// cmask, so carrying c into the next iteration means one load per
-		// level instead of a re-index on every field.
-		if c.dead {
-			return vi
-		}
-		vi, v = ci, c
-	}
-}
-
-// credit adds weight to slot vi's counter (promoting it to a wider pool
-// class on overflow) and runs the split and merge stages of the update
-// pipeline. p is the event point, from which the node's range start is
-// derived when a split needs it — nodes no longer store lo. credit is the
-// shared tail of AddN and the batched entry points of batch.go, so every
-// ingest path takes identical split/merge decisions.
-func (t *Tree) credit(vi uint32, p uint64, weight uint64) {
+	// Credit the node, promoting its counter to a wider pool class on
+	// overflow.
 	nv := t.addCount(vi, weight)
 
 	// Stage 4 of the pipeline: compare against the split threshold. split
-	// may grow the arena, so node pointers are dead after this point.
+	// may grow the arena, so node pointers are dead after this point. The
+	// split's range start is derived from p — nodes do not store lo.
 	if plen := t.arena[vi].plen; float64(nv) > t.SplitThreshold() && int(plen) < t.cfg.UniverseBits {
 		t.split(vi, prefixOf(p, plen, t.cfg.UniverseBits))
 	}
@@ -345,7 +322,7 @@ func (t *Tree) runMergeBatch() {
 	thr := t.mergeThreshold()
 	t.mergeNode(0, 0, thr)
 	t.compact()
-	t.invalidateLeafCache()
+	t.clearStart() // compaction renumbered every slot
 	t.advanceMergeSchedule()
 	if timed {
 		t.hooks.MergeBatch(MergeBatchEvent{

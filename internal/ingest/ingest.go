@@ -480,6 +480,8 @@ func (in *Ingestor) registerMetrics() {
 		}
 		reg.CounterFunc("rap_tree_events_total", "Total event weight applied to the shard tree.",
 			treeStat(func(st core.Stats) float64 { return float64(st.N) }), labels...)
+		reg.CounterFunc("rap_tree_descent_levels_total", "Tree levels walked by update descents below their start-table slot.",
+			treeStat(func(st core.Stats) float64 { return float64(st.DescentLevels) }), labels...)
 		reg.GaugeFunc("rap_tree_nodes", "Live nodes in the shard tree.",
 			treeStat(func(st core.Stats) float64 { return float64(st.Nodes) }), labels...)
 		reg.GaugeFunc("rap_tree_nodes_max", "High-water mark of live nodes in the shard tree.",
@@ -655,8 +657,8 @@ func (in *Ingestor) restore(st *checkpointState) error {
 
 // apply folds one batch into the engine under its shard's lock, advancing
 // the source's applied position in the same critical section so
-// checkpoint cuts stay exact. The whole chunk is handed to the tree's
-// batched fast path; scratch is the worker-local conversion buffer,
+// checkpoint cuts stay exact. The whole chunk goes to the tree in one
+// AddSamples call; scratch is the worker-local conversion buffer,
 // returned for reuse so steady-state draining does not allocate.
 func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.Sample {
 	var start time.Time

@@ -135,8 +135,8 @@ func (h *Handle) AddN(p uint64, weight uint64) {
 	h.eng.notePub(weight)
 }
 
-// AddBatch records a run of points under one lock acquisition, through
-// the tree's batched fast path (last-leaf cache, per-point Add semantics).
+// AddBatch records a run of points under one lock acquisition, with
+// per-point Add semantics.
 func (h *Handle) AddBatch(points []uint64) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddBatch(points)
@@ -179,7 +179,7 @@ func (e *Engine) AddN(p uint64, weight uint64) {
 }
 
 // AddBatch records a batch of points on one round-robin shard under a
-// single lock acquisition, through the tree's batched fast path.
+// single lock acquisition.
 func (e *Engine) AddBatch(points []uint64) {
 	sh := e.pick()
 	sh.mu.Lock()
@@ -439,6 +439,8 @@ func (e *Engine) Stats() core.Stats {
 		agg.Splits += st.Splits
 		agg.Merges += st.Merges
 		agg.MergeBatches += st.MergeBatches
+		agg.StartTableBytes += st.StartTableBytes
+		agg.DescentLevels += st.DescentLevels
 		agg.CounterSlots8 += st.CounterSlots8
 		agg.CounterSlots16 += st.CounterSlots16
 		agg.CounterSlots32 += st.CounterSlots32

@@ -205,12 +205,15 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// ArenaBytes and CounterPoolBytes are physical slab capacity, not
 	// logical state, and a restored tree allocates exactly what it needs;
-	// CounterPromotions is ingest history snapshots do not carry — exclude
-	// all three.
+	// CounterPromotions and DescentLevels are ingest history snapshots do
+	// not carry, and restored trees have no start table until they
+	// descend — exclude all five.
 	got, want := back.Stats(), e.Stats()
 	got.ArenaBytes, want.ArenaBytes = 0, 0
 	got.CounterPoolBytes, want.CounterPoolBytes = 0, 0
 	got.CounterPromotions, want.CounterPromotions = 0, 0
+	got.DescentLevels, want.DescentLevels = 0, 0
+	got.StartTableBytes, want.StartTableBytes = 0, 0
 	if got != want {
 		t.Fatalf("restored stats %+v != %+v", got, want)
 	}
