@@ -3,11 +3,18 @@
 // operations. Run everything with:
 //
 //	go test -bench=. -benchmem
+//
+// The per-update ingest costs README and DESIGN cite are the TreeAdd
+// rows, at a fixed 2M updates per run:
+//
+//	go test -run '^$' -bench TreeAdd -benchtime 2000000x -count 3 .
 package rap_test
 
 import (
+	"slices"
 	"testing"
 
+	"rap/internal/audit"
 	"rap/internal/core"
 	"rap/internal/experiments"
 	"rap/internal/hw"
@@ -181,43 +188,84 @@ func BenchmarkSampledAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkTreeAddZipf(b *testing.B) {
-	t := core.MustNew(core.DefaultConfig())
-	rng := stats.NewSplitMix64(1)
-	z := stats.NewZipf(rng, 1<<20, 1.2)
-	points := make([]uint64, 1<<16)
+// microTable is the number of points the TreeAdd benchmarks precompute
+// and cycle through, so the timed loop is tree work only.
+const microTable = 1 << 16
+
+// zipfPoints draws the microTable points of a Zipf(universe, s) stream
+// from seed 1.
+func zipfPoints(universe int, s float64) []uint64 {
+	z := stats.NewZipf(stats.NewSplitMix64(1), universe, s)
+	points := make([]uint64, microTable)
 	for i := range points {
 		points[i] = uint64(z.Rank())
 	}
+	return points
+}
+
+// benchAdd times b.N single-point updates of t, cycling through points.
+func benchAdd(b *testing.B, t *core.Tree, points []uint64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Add(points[i&(1<<16-1)])
+		t.Add(points[i&(microTable-1)])
 	}
 	reportNodeBytes(b, t)
 }
 
-func BenchmarkTreeAddUniform(b *testing.B) {
+func BenchmarkTreeAddZipf(b *testing.B) {
+	benchAdd(b, core.MustNew(core.DefaultConfig()), zipfPoints(1<<20, 1.2))
+}
+
+// BenchmarkTreeAddZipfAudit is BenchmarkTreeAddZipf with the accuracy
+// audit's tap installed at SamplePeriod 1024: per event one atomic add
+// and a binary search over the adopted ranges, and an exact count inside
+// them. The tap adopts its ranges as the stream flows, as under rapd
+// -audit.
+func BenchmarkTreeAddZipfAudit(b *testing.B) {
 	t := core.MustNew(core.DefaultConfig())
+	taps, err := audit.New(audit.Options{SamplePeriod: 1024}).Attach(core.DefaultConfig(), t, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	t.SetTap(taps[0])
+	benchAdd(b, t, zipfPoints(1<<20, 1.2))
+}
+
+func BenchmarkTreeAddUniform(b *testing.B) {
 	rng := stats.NewSplitMix64(1)
-	points := make([]uint64, 1<<16)
+	points := make([]uint64, microTable)
 	for i := range points {
 		points[i] = rng.Uint64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Add(points[i&(1<<16-1)])
-	}
-	reportNodeBytes(b, t)
+	benchAdd(b, core.MustNew(core.DefaultConfig()), points)
 }
 
 func BenchmarkTreeAddCoalesced(b *testing.B) {
 	// The hardware path: weighted updates from the stage-0 buffer.
 	t := core.MustNew(core.DefaultConfig())
-	rng := stats.NewSplitMix64(1)
-	z := stats.NewZipf(rng, 1<<12, 1.3)
+	points := zipfPoints(1<<12, 1.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.AddN(uint64(z.Rank()), 16)
+		t.AddN(points[i&(microTable-1)], 16)
+	}
+	reportNodeBytes(b, t)
+}
+
+// BenchmarkTreeAddSorted feeds AddSorted pre-sorted 4096-point chunks of
+// the Zipf table; ns/op is per point. Sorting is the caller's cost, so it
+// happens before the timer starts.
+func BenchmarkTreeAddSorted(b *testing.B) {
+	const chunk = 4096
+	points := zipfPoints(1<<20, 1.2)
+	chunks := make([][]uint64, microTable/chunk)
+	for i := range chunks {
+		chunks[i] = slices.Clone(points[i*chunk : (i+1)*chunk])
+		slices.Sort(chunks[i])
+	}
+	t := core.MustNew(core.DefaultConfig())
+	b.ResetTimer()
+	for fed, k := 0, 0; fed < b.N; fed, k = fed+chunk, (k+1)%len(chunks) {
+		t.AddSorted(chunks[k][:min(chunk, b.N-fed)])
 	}
 	reportNodeBytes(b, t)
 }

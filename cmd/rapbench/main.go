@@ -4,12 +4,11 @@
 //
 // Usage:
 //
-//	rapbench [-n events] [-seed s] [-json] fig2|fig3|fig5|fig6|fig7|fig8|fig9|fig10|hw|headline|narrow|ablations|contendedquery|adversarial|micro|countwidth|all
+//	rapbench [-n events] [-seed s] [-json] fig2|fig3|fig5|fig6|fig7|fig8|fig9|fig10|hw|headline|narrow|ablations|mini|extensions|contended|contendedquery|adversarial|all
 //
 // With -json each experiment is emitted as one machine-readable envelope
 // (experiment name, scale, wall time, events/sec, and the full result
-// struct); `all` writes a single combined document. This is the format
-// BENCH_*.json perf trajectories record.
+// struct); `all` writes a single combined document.
 package main
 
 import (
@@ -30,7 +29,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of prose tables")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rapbench [-n events] [-seed s] [-json] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 hw headline narrow ablations mini extensions contended contendedquery adversarial micro countwidth all\n")
+		fmt.Fprintf(os.Stderr, "experiments: fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 hw headline narrow ablations mini extensions contended contendedquery adversarial all\n")
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -116,16 +115,6 @@ func measure(name string, o experiments.Options) (printable, error) {
 		return wrap(experiments.ContendedQuery(o))
 	case "adversarial":
 		return wrap(experiments.Adversarial(o))
-	case "micro":
-		// Deliberately not part of `order`: micro is the CI perf gate's
-		// probe (BENCH_*.json), a timing measurement that would make the
-		// combined `all` document machine-dependent.
-		return wrap(experiments.Micro(o))
-	case "countwidth":
-		// Also a CI gate probe (arena density of the packed counter
-		// layout vs the 64-bit reference), kept out of `order` alongside
-		// micro.
-		return wrap(experiments.CountWidth(o))
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", name)
 	}

@@ -160,13 +160,12 @@ func TestConcurrentSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestConcurrentRestoreDropsLeafCache: an engine that batched before
+// TestConcurrentRestoreDropsStartTable: an engine that batched before
 // Restore must start every later descent where a root descent agrees —
 // the restored tree must not inherit the replaced tree's descent start
 // table — and keep batching byte for byte like a fresh control fed the
-// same way. (The name is from the one-entry leaf cache the start table
-// replaced.)
-func TestConcurrentRestoreDropsLeafCache(t *testing.T) {
+// same way.
+func TestConcurrentRestoreDropsStartTable(t *testing.T) {
 	cfg := core.TestConfig(16, 4, 0.05)
 	cfg.FirstMerge = 64
 	donor := concurrent(t, cfg)

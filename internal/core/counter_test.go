@@ -160,6 +160,68 @@ func TestPackedDensityBeatsWide(t *testing.T) {
 	}
 }
 
+// TestMicroZipfDensity is the deterministic gate on counter storage. On
+// 2M events of the micro Zipf stream at DefaultConfig, the packed layout
+// must hold at most 16.29 B per live node (10% over the 14.81 it reads)
+// and its arena must be at least 1.5× smaller than the 64-bit reference
+// layout's (1.59× measured), while the two answer every probe and
+// serialize byte for byte alike.
+func TestMicroZipfDensity(t *testing.T) {
+	const n = 2_000_000
+	points := microZipf()
+	packed := MustNew(DefaultConfig())
+	wide, err := NewWide(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		p := points[i&(len(points)-1)]
+		packed.Add(p)
+		wide.Add(p)
+	}
+	ps, ws := packed.Stats(), wide.Stats()
+	perNode := float64(ps.ArenaBytes) / float64(ps.Nodes)
+	gain := float64(ws.ArenaBytes) / float64(ps.ArenaBytes)
+	t.Logf("packed %d B / %d nodes = %.2f B/node; wide %d B; gain %.2fx; pools %d < %d B; %d promotions",
+		ps.ArenaBytes, ps.Nodes, perNode, ws.ArenaBytes, gain,
+		ps.CounterPoolBytes, ws.CounterPoolBytes, ps.CounterPromotions)
+	if perNode > 16.29 {
+		t.Errorf("packed arena %.2f B/node, want <= 16.29", perNode)
+	}
+	if gain < 1.5 {
+		t.Errorf("wide/packed arena %.2fx, want >= 1.5", gain)
+	}
+	if ps.CounterPoolBytes >= ws.CounterPoolBytes {
+		t.Errorf("packed pool %d B not smaller than wide pool %d B", ps.CounterPoolBytes, ws.CounterPoolBytes)
+	}
+	if ps.CounterPromotions == 0 {
+		t.Error("the stream promoted no counters")
+	}
+	if live := ps.CounterSlots8 + ps.CounterSlots16 + ps.CounterSlots32 + ps.CounterSlots64; live != ps.Nodes {
+		t.Errorf("%d live counters for %d nodes", live, ps.Nodes)
+	}
+	for _, q := range [][2]uint64{
+		{0, 1<<20 - 1}, {0, 255}, {1 << 10, 1 << 14}, {1 << 19, 1<<20 - 1}, {7, 7},
+	} {
+		pl, ph := packed.EstimateBounds(q[0], q[1])
+		wl, wh := wide.EstimateBounds(q[0], q[1])
+		if pl != wl || ph != wh {
+			t.Errorf("[%d,%d]: packed bounds [%d,%d], wide [%d,%d]", q[0], q[1], pl, ph, wl, wh)
+		}
+	}
+	a, err := packed.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wide.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("packed and wide snapshots differ: %d vs %d bytes", len(a), len(b))
+	}
+}
+
 // TestCloneDeepCopiesPool: a clone's counters are independent storage; the
 // donor's later increments and promotions must not show through. This is
 // the invariant epoch publication relies on.

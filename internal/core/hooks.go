@@ -3,10 +3,10 @@ package core
 import "time"
 
 // Observability hooks. A Tree carries an optional *Hooks; every hook site
-// is guarded by a nil check on a cold path (split, merge batch, query),
-// so a tree without hooks pays nothing on Add/AddN and a single pointer
-// test per split, merge, or estimate. Hook implementations must be fast
-// and must not call back into the tree.
+// is guarded by a nil check on a cold path (split, merge batch), so a
+// tree without hooks pays nothing on Add/AddN and a single pointer test
+// per split or merge. Hook implementations must be fast and must not call
+// back into the tree.
 
 // SplitEvent describes one split decision at the moment it was taken.
 type SplitEvent struct {
@@ -43,9 +43,6 @@ type Hooks struct {
 	Split      func(SplitEvent)
 	Merge      func(MergeEvent)
 	MergeBatch func(MergeBatchEvent)
-	// EstimateDone receives the latency of each Estimate/EstimateBounds
-	// call. Timing is only taken when this hook is installed.
-	EstimateDone func(time.Duration)
 }
 
 // SetHooks installs (or with nil removes) the tree's observability hooks.

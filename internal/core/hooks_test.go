@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func hookTestConfig() Config {
 	cfg := DefaultConfig()
@@ -49,10 +46,9 @@ func TestHooksDoNotChangeTreeState(t *testing.T) {
 	plain := MustNew(hookTestConfig())
 	hooked := MustNew(hookTestConfig())
 	hooked.SetHooks(&Hooks{
-		Split:        func(SplitEvent) {},
-		Merge:        func(MergeEvent) {},
-		MergeBatch:   func(MergeBatchEvent) {},
-		EstimateDone: func(time.Duration) {},
+		Split:      func(SplitEvent) {},
+		Merge:      func(MergeEvent) {},
+		MergeBatch: func(MergeBatchEvent) {},
 	})
 	for i := 0; i < 100_000; i++ {
 		v := uint64(i*40503) & 0xffff
@@ -98,30 +94,5 @@ func TestSplitEventFields(t *testing.T) {
 	}
 	if e.NewChildren != cfg.Branch {
 		t.Fatalf("new children = %d, want %d", e.NewChildren, cfg.Branch)
-	}
-}
-
-// TestEstimateHookTiming checks the estimate hook only fires when
-// installed and reports a plausible latency.
-func TestEstimateHookTiming(t *testing.T) {
-	tr := MustNew(hookTestConfig())
-	for i := 0; i < 50_000; i++ {
-		tr.Add(uint64(i) & 0xffff)
-	}
-	var calls int
-	var last time.Duration
-	tr.SetHooks(&Hooks{EstimateDone: func(d time.Duration) { calls++; last = d }})
-	tr.Estimate(0, 1<<15)
-	tr.EstimateBounds(1<<14, 1<<15)
-	if calls != 2 {
-		t.Fatalf("estimate hook calls = %d, want 2", calls)
-	}
-	if last < 0 || last > time.Second {
-		t.Fatalf("implausible estimate latency %v", last)
-	}
-	tr.SetHooks(nil)
-	tr.Estimate(0, 1<<15)
-	if calls != 2 {
-		t.Fatal("estimate hook fired after removal")
 	}
 }

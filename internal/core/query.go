@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // Query paths are read-only: the arena cannot move under them, so holding
 // a *node across recursion is safe here (unlike the mutation paths, which
@@ -86,20 +83,8 @@ func (t *Tree) Estimate(lo, hi uint64) uint64 {
 	if lo > hi {
 		return 0
 	}
-	done := t.estimateTimer()
 	low, _ := t.estimate(0, 0, lo&t.mask, hi&t.mask)
-	done()
 	return low
-}
-
-// estimateTimer starts an estimate-latency measurement when the
-// EstimateDone hook is installed; otherwise it is a single nil check.
-func (t *Tree) estimateTimer() func() {
-	if t.hooks == nil || t.hooks.EstimateDone == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.hooks.EstimateDone(time.Since(start)) }
 }
 
 // EstimateBounds returns both the lower-bound estimate for [lo, hi] and an
@@ -113,9 +98,7 @@ func (t *Tree) EstimateBounds(lo, hi uint64) (low, high uint64) {
 	if lo > hi {
 		return 0, 0
 	}
-	done := t.estimateTimer()
 	low, high = t.estimate(0, 0, lo&t.mask, hi&t.mask)
-	done()
 	return low, high + t.unadmitted
 }
 

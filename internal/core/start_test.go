@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rap/internal/stats"
@@ -141,6 +142,19 @@ func FuzzDescentStartTable(f *testing.F) {
 	})
 }
 
+// microZipf is the skewed stream the root BenchmarkTreeAddZipf times: a
+// 64Ki-point Zipf(2^20, 1.2) table from seed 1, cycled by the caller. The
+// levels, allocation and density gates read their counts on it, so a count
+// and a benchmark row describe the same updates.
+func microZipf() []uint64 {
+	zipf := stats.NewZipf(stats.NewSplitMix64(1), 1<<20, 1.2)
+	points := make([]uint64, 1<<16)
+	for i := range points {
+		points[i] = uint64(zipf.Rank())
+	}
+	return points
+}
+
 // TestDescentLevelsPerEvent is the deterministic gate on descent work. A
 // root descent walks ~26 levels per gzip load value and ~31 per micro
 // Zipf point at DefaultConfig; from the start table, an update walks only
@@ -175,15 +189,8 @@ func TestDescentLevelsPerEvent(t *testing.T) {
 		}
 	})
 
-	// The rapbench micro add/zipf stream: a 64Ki-point Zipf(2^20, 1.2)
-	// table, seed 1, cycled.
 	t.Run("micro-zipf", func(t *testing.T) {
-		rng := stats.NewSplitMix64(1)
-		zipf := stats.NewZipf(rng, 1<<20, 1.2)
-		points := make([]uint64, 1<<16)
-		for i := range points {
-			points[i] = uint64(zipf.Rank())
-		}
+		points := microZipf()
 		tr := MustNew(DefaultConfig())
 		for i := 0; i < n; i++ {
 			tr.Add(points[i&(len(points)-1)])
@@ -194,4 +201,34 @@ func TestDescentLevelsPerEvent(t *testing.T) {
 			t.Fatalf("micro zipf walked %.2f levels/event, want <= 1", got)
 		}
 	})
+}
+
+// TestAddAllocations is the deterministic gate on per-event allocation. A
+// fresh tree fed 2M events of the micro Zipf stream allocates only as its
+// slab, counter pools and start table grow (~300 times), and a warmed
+// tree's Add allocates nothing. One allocation per event anywhere on the
+// update path fails both, on any machine.
+func TestAddAllocations(t *testing.T) {
+	const n = 2_000_000
+	points := microZipf()
+	mask := len(points) - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := MustNew(DefaultConfig())
+	for i := 0; i < n; i++ {
+		tr.Add(points[i&mask])
+	}
+	runtime.ReadMemStats(&after)
+	grow := after.Mallocs - before.Mallocs
+	t.Logf("fresh tree: %d allocations in %d events", grow, n)
+	if grow > 600 {
+		t.Errorf("a fresh tree allocated %d times in %d events, want <= 600", grow, n)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(10_000, func() {
+		tr.Add(points[i&mask])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("a warmed tree's Add allocated %v times per call", allocs)
+	}
 }

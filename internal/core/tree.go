@@ -28,8 +28,8 @@ type Tree struct {
 
 	// wideCounters pins every counter allocation to the 64-bit class,
 	// reproducing the pre-pool layout exactly. NewWide sets it; the
-	// packed/wide equivalence suite and the countwidth experiment compare
-	// the two layouts on identical streams.
+	// packed/wide equivalence and density tests compare the two layouts
+	// on identical streams.
 	wideCounters bool
 
 	// promotions counts counter overflow promotions; promoted[k] counts
@@ -98,6 +98,30 @@ type Stats struct {
 	CounterPromotions uint64 // overflow promotions to a wider class
 }
 
+// Add sums o's counters into s, for a view over several trees (the
+// sharded engine's shards). Height is left alone: it is a property of the
+// configuration, not a count. A new Stats field is summed here, or
+// TestStatsSumsEveryShard (internal/shard) fails.
+func (s *Stats) Add(o Stats) {
+	s.N += o.N
+	s.UnadmittedN += o.UnadmittedN
+	s.Nodes += o.Nodes
+	s.MaxNodes += o.MaxNodes
+	s.MemoryBytes += o.MemoryBytes
+	s.ArenaBytes += o.ArenaBytes
+	s.Splits += o.Splits
+	s.Merges += o.Merges
+	s.MergeBatches += o.MergeBatches
+	s.StartTableBytes += o.StartTableBytes
+	s.DescentLevels += o.DescentLevels
+	s.CounterSlots8 += o.CounterSlots8
+	s.CounterSlots16 += o.CounterSlots16
+	s.CounterSlots32 += o.CounterSlots32
+	s.CounterSlots64 += o.CounterSlots64
+	s.CounterPoolBytes += o.CounterPoolBytes
+	s.CounterPromotions += o.CounterPromotions
+}
+
 // New builds an empty RAP tree (the rap_init of Section 3.2). The tree
 // starts as a single counter covering the whole universe, the "one counter
 // which counts all instructions" starting point of Section 2.
@@ -107,8 +131,10 @@ func New(cfg Config) (*Tree, error) { return newTree(cfg, false) }
 // 64-bit width, byte-for-byte reproducing the pre-pool storage cost. It
 // exists as the reference layout: fed the same stream, a packed tree and a
 // wide tree must produce identical estimates and identical snapshot bytes
-// (the promotion ladder changes representation, never values). The
-// equivalence fuzzer and the countwidth density experiment are its users.
+// (the promotion ladder changes representation, never values). Only tests
+// build it: the equivalence fuzzer, the snapshot-identity and legacy
+// decoding tests, and TestMicroZipfDensity, which requires the packed
+// arena to be at least 1.5× smaller.
 func NewWide(cfg Config) (*Tree, error) { return newTree(cfg, true) }
 
 func newTree(cfg Config, wide bool) (*Tree, error) {

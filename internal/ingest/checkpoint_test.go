@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"rap/internal/obs"
 )
 
 // logCapture collects log output for assertions: a text slog.Handler
@@ -63,11 +65,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	wantEst := in.Estimate(0, 1<<15)
 
 	// A second Open must restore trees and positions from the final
-	// checkpoint without replaying anything.
+	// checkpoint without replaying anything, and export the restored
+	// trees' split and merge totals, not counts restarted at 0.
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
 	in2, err := Open(opts, []SourceSpec{sliceSpec("s", vals)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTreeTotals(t, reg, in2.Stats())
 	if got := in2.N(); got != wantN {
 		t.Fatalf("restored N = %d, want %d", got, wantN)
 	}

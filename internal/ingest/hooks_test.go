@@ -10,8 +10,9 @@ import (
 )
 
 // TestTreeHooksEndToEnd drives a real tree with treeHooks installed and
-// checks that the registry counters agree with the tree's own Stats and
-// that split/merge events carry the decision state as named attributes.
+// checks that merge batches are timed exactly as often as the tree's own
+// Stats count them and that split/merge events carry the decision state
+// as named attributes.
 func TestTreeHooksEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
@@ -24,24 +25,11 @@ func TestTreeHooksEndToEnd(t *testing.T) {
 	for i := 0; i < 200_000; i++ {
 		tree.Add(uint64(i*2654435761) & 0xffff)
 	}
-	tree.Estimate(0, 1<<15)
 	st := tree.Finalize()
 
 	labels := []obs.Label{obs.L("shard", "0")}
-	if got := reg.Counter(MetricTreeSplits, "", labels...).Value(); got != st.Splits {
-		t.Fatalf("splits metric = %d, tree stats = %d", got, st.Splits)
-	}
-	if got := reg.Counter(MetricTreeMerges, "", labels...).Value(); got != st.Merges {
-		t.Fatalf("merges metric = %d, tree stats = %d", got, st.Merges)
-	}
-	if got := reg.Counter(MetricTreeMergeBatches, "", labels...).Value(); got != st.MergeBatches {
-		t.Fatalf("merge batches metric = %d, tree stats = %d", got, st.MergeBatches)
-	}
 	if got := reg.Histogram(MetricTreeMergeBatchDur, "", nil, labels...).Count(); got != st.MergeBatches {
 		t.Fatalf("merge batch duration observations = %d, want %d", got, st.MergeBatches)
-	}
-	if got := reg.Histogram(MetricTreeEstimateDur, "", nil, labels...).Count(); got != 1 {
-		t.Fatalf("estimate duration observations = %d, want 1", got)
 	}
 
 	splits, merges := 0, 0

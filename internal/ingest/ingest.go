@@ -122,8 +122,9 @@ type Options struct {
 
 	// Metrics, when set, registers pipeline metrics on this registry:
 	// per-shard tree counters and gauges (splits, merges, nodes, ε·n
-	// error budget, estimate latency), per-source queue depth/capacity,
-	// drops, retries, backoff state, and checkpoint counters/latency.
+	// error budget, merge-batch latency), per-source queue
+	// depth/capacity, drops, retries, backoff state, and checkpoint
+	// counters/latency.
 	Metrics *obs.Registry
 
 	// Audit, when set, runs the online accuracy self-audit over this
@@ -179,8 +180,10 @@ type Options struct {
 	// queue-wait and shard-apply stages (with merge-batch and
 	// epoch-publish children attached when the apply triggered them), and
 	// each checkpoint becomes a trace with cut and write children. The
-	// tracer's sampling policy decides what is kept; unsampled batches pay
-	// one small allocation per 256-event batch. With Metrics also set,
+	// tracer's sampling policy decides what is kept; an unsampled queue
+	// entry still allocates its three spans and their attributes, 7.0
+	// allocations per entry (measured at BatchLen 256: 0.032 allocations
+	// per event traced against 0.005 untraced). With Metrics also set,
 	// split/merge decisions (tree.split, tree.merge), audit verdicts and
 	// admission level changes are recorded on it as zero-duration events.
 	Tracer *span.Tracer
@@ -461,11 +464,12 @@ func (in *Ingestor) Admission() *admit.Frontend {
 }
 
 // registerMetrics wires the three instrumentation surfaces onto
-// opts.Metrics: per-shard tree hooks (counters, latency histograms,
-// split/merge events on opts.Tracer), scrape-time gauges over shard and
-// queue state, and checkpoint counters. Scrape-time Funcs take the owning shard lock, so
-// an exposition is a consistent-enough monitoring view without ever
-// blocking the hot path for longer than one scrape.
+// opts.Metrics: per-shard tree hooks (merge-batch latency, split/merge
+// events on opts.Tracer), scrape-time counters and gauges over shard
+// Stats and queue state, and checkpoint counters. Scrape-time Funcs take
+// the owning shard lock, so an exposition is a consistent-enough
+// monitoring view without ever blocking the hot path for longer than one
+// scrape.
 func (in *Ingestor) registerMetrics() {
 	reg := in.opts.Metrics
 	eps := in.opts.Tree.Epsilon
@@ -480,6 +484,12 @@ func (in *Ingestor) registerMetrics() {
 		}
 		reg.CounterFunc("rap_tree_events_total", "Total event weight applied to the shard tree.",
 			treeStat(func(st core.Stats) float64 { return float64(st.N) }), labels...)
+		reg.CounterFunc(MetricTreeSplits, "Split operations performed.",
+			treeStat(func(st core.Stats) float64 { return float64(st.Splits) }), labels...)
+		reg.CounterFunc(MetricTreeMerges, "Nodes folded into their parents.",
+			treeStat(func(st core.Stats) float64 { return float64(st.Merges) }), labels...)
+		reg.CounterFunc(MetricTreeMergeBatches, "Batched merge passes run.",
+			treeStat(func(st core.Stats) float64 { return float64(st.MergeBatches) }), labels...)
 		reg.CounterFunc("rap_tree_descent_levels_total", "Tree levels walked by update descents below their start-table slot.",
 			treeStat(func(st core.Stats) float64 { return float64(st.DescentLevels) }), labels...)
 		reg.GaugeFunc("rap_tree_nodes", "Live nodes in the shard tree.",
@@ -1186,18 +1196,17 @@ type Stats struct {
 // monitoring-grade: shards are sampled one at a time, not under a global
 // cut.
 func (in *Ingestor) Stats() Stats {
-	var st Stats
-	for i := 0; i < in.engine.Shards(); i++ {
-		ts := in.engine.ShardStats(i)
-		st.N += ts.N
-		st.Unadmitted += ts.UnadmittedN
-		st.Nodes += ts.Nodes
-		st.MaxNodes += ts.MaxNodes
-		st.MemoryBytes += ts.MemoryBytes
-		st.ArenaBytes += ts.ArenaBytes
-		st.Splits += ts.Splits
-		st.Merges += ts.Merges
-		st.MergeBatches += ts.MergeBatches
+	ts := in.engine.Stats()
+	st := Stats{
+		N:            ts.N,
+		Unadmitted:   ts.UnadmittedN,
+		Nodes:        ts.Nodes,
+		MaxNodes:     ts.MaxNodes,
+		MemoryBytes:  ts.MemoryBytes,
+		ArenaBytes:   ts.ArenaBytes,
+		Splits:       ts.Splits,
+		Merges:       ts.Merges,
+		MergeBatches: ts.MergeBatches,
 	}
 	now := time.Now()
 	for _, ss := range in.sources {

@@ -31,28 +31,7 @@ func TestMetricsRegistration(t *testing.T) {
 	})
 	st := in.Stats()
 
-	var splits, merges float64
-	for _, fam := range reg.Snapshot() {
-		switch fam.Name {
-		case MetricTreeSplits:
-			for _, s := range fam.Series {
-				splits += s.Value
-			}
-		case MetricTreeMerges:
-			for _, s := range fam.Series {
-				merges += s.Value
-			}
-		}
-	}
-	if uint64(splits) != st.Splits {
-		t.Fatalf("splits metric = %v, stats = %d", splits, st.Splits)
-	}
-	if uint64(merges) != st.Merges {
-		t.Fatalf("merges metric = %v, stats = %d", merges, st.Merges)
-	}
-	if st.Splits == 0 {
-		t.Fatal("stream produced no splits; test is vacuous")
-	}
+	checkTreeTotals(t, reg, st)
 	var events int
 	for _, r := range tr.Spans() {
 		if strings.HasPrefix(r.Name, "tree.") {
@@ -101,6 +80,34 @@ func TestMetricsRegistration(t *testing.T) {
 		if v := fam.Series[0].Value; v < 0 || v > 60 {
 			t.Fatalf("staleness = %v, want small and non-negative", v)
 		}
+	}
+}
+
+// checkTreeTotals requires the split, merge and merge-batch totals
+// exported across shards to equal the engine's Stats, and the stream to
+// have split at all.
+func checkTreeTotals(t *testing.T, reg *obs.Registry, st Stats) {
+	t.Helper()
+	sums := map[string]float64{}
+	for _, fam := range reg.Snapshot() {
+		for _, s := range fam.Series {
+			sums[fam.Name] += s.Value
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{MetricTreeSplits, st.Splits},
+		{MetricTreeMerges, st.Merges},
+		{MetricTreeMergeBatches, st.MergeBatches},
+	} {
+		if got := sums[c.name]; uint64(got) != c.want {
+			t.Errorf("%s = %v, stats = %d", c.name, got, c.want)
+		}
+	}
+	if st.Splits == 0 {
+		t.Fatal("stream produced no splits; test is vacuous")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rap/internal/core"
 	"rap/internal/stats"
 )
 
@@ -211,5 +212,40 @@ func TestRestoreAndAdoptShardRepublish(t *testing.T) {
 	if ep.N() <= 8_000-2_000 || ep.N() == 8_000 {
 		// shard 0 held ~2000 of the 8000 events and was replaced by 1000.
 		t.Fatalf("epoch N after AdoptShard = %d (adopt did not republish)", ep.N())
+	}
+}
+
+// TestPublishesPerMillionEvents is the deterministic gate on publish
+// work. At the default cadence an engine publishes one epoch per
+// core.DefaultPublishEvery offered events, whichever shard they land on:
+// 2M events in 256-event chunks through one handle of a 4-shard engine
+// publish exactly 2,000,000 / 65,536 = 30 epochs after the initial one.
+// Each publish clones and merges every shard, so a cadence that fires
+// early multiplies the engine's per-event cost.
+func TestPublishesPerMillionEvents(t *testing.T) {
+	const n, chunk = 2_000_000, 256
+	e, err := New(core.DefaultConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnableReadSnapshots(0)
+	pub := e.Publisher()
+	initial := pub.Published()
+	z := stats.NewZipf(stats.NewSplitMix64(1), 1<<20, 1.2)
+	h := e.Handle()
+	samples := make([]core.Sample, chunk)
+	for fed := 0; fed < n; fed += chunk {
+		c := samples[:min(chunk, n-fed)]
+		for i := range c {
+			c[i] = core.Sample{Value: uint64(z.Rank()), Weight: 1}
+		}
+		h.AddSamples(c)
+	}
+	if got := e.N(); got != n {
+		t.Fatalf("N = %d, want %d", got, n)
+	}
+	want := uint64(n / core.DefaultPublishEvery)
+	if got := pub.Published() - initial; got != want {
+		t.Fatalf("%d publishes after the initial epoch for %d events, want %d", got, n, want)
 	}
 }

@@ -420,33 +420,16 @@ func (e *Engine) N() uint64 {
 	return total
 }
 
-// Stats aggregates the per-shard counters: sums for event and operation
-// counts, memory charged across all live shard nodes. The view is
-// monitoring-grade — shards are sampled one at a time.
+// Stats aggregates the per-shard counters (core.Stats.Add): sums for
+// event and operation counts, memory charged across all live shard nodes.
+// The view is monitoring-grade — shards are sampled one at a time.
 func (e *Engine) Stats() core.Stats {
-	var agg core.Stats
-	agg.Height = e.cfg.Height()
+	agg := core.Stats{Height: e.cfg.Height()}
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		st := sh.tree.Stats()
 		sh.mu.Unlock()
-		agg.N += st.N
-		agg.UnadmittedN += st.UnadmittedN
-		agg.Nodes += st.Nodes
-		agg.MaxNodes += st.MaxNodes
-		agg.MemoryBytes += st.MemoryBytes
-		agg.ArenaBytes += st.ArenaBytes
-		agg.Splits += st.Splits
-		agg.Merges += st.Merges
-		agg.MergeBatches += st.MergeBatches
-		agg.StartTableBytes += st.StartTableBytes
-		agg.DescentLevels += st.DescentLevels
-		agg.CounterSlots8 += st.CounterSlots8
-		agg.CounterSlots16 += st.CounterSlots16
-		agg.CounterSlots32 += st.CounterSlots32
-		agg.CounterSlots64 += st.CounterSlots64
-		agg.CounterPoolBytes += st.CounterPoolBytes
-		agg.CounterPromotions += st.CounterPromotions
+		agg.Add(st)
 	}
 	return agg
 }

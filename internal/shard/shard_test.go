@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -237,6 +238,64 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if back.Stats() != before {
 		t.Fatal("failed restore mutated engine")
+	}
+}
+
+// denyOdd refuses odd points, so the shards' unadmitted ledgers fill.
+type denyOdd struct{}
+
+func (denyOdd) Admit(p, _ uint64, _ int) bool { return p%2 == 0 }
+func (denyOdd) Pulse(core.Stats)              {}
+func (denyOdd) TreeReplaced()                 {}
+
+// TestStatsSumsEveryShard: the engine's Stats is the sum of its shards'
+// for every count core.Stats carries, so a field added to core.Stats
+// without a line in Stats.Add fails here. Height is configuration, not a
+// count. Every summed field must be nonzero, or its check would pass with
+// the field left out.
+func TestStatsSumsEveryShard(t *testing.T) {
+	e, err := New(testConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetShardAdmitters(func(int) core.Admitter { return denyOdd{} })
+	z := stats.NewZipf(stats.NewSplitMix64(5), 1<<16, 1.2)
+	h0, h1 := e.Handle(), e.Handle() // shards 0 and 1
+	for i := 0; i < 50_000; i++ {
+		h0.Add(uint64(z.Rank()))
+		h1.Add(uint64(z.Rank()))
+	}
+	// Shard 0 also takes counts past 32 and 16 bits, which collapses its
+	// tree; shard 1 keeps its narrow counters.
+	h0.AddN(1<<15, 1<<33)
+	h0.AddN(2, 1<<20)
+	asUint := func(v reflect.Value) uint64 {
+		switch v.Kind() {
+		case reflect.Int:
+			return uint64(v.Int())
+		case reflect.Uint64:
+			return v.Uint()
+		}
+		t.Fatalf("core.Stats field of kind %v", v.Kind())
+		return 0
+	}
+	total := reflect.ValueOf(e.Stats())
+	parts := []reflect.Value{reflect.ValueOf(e.ShardStats(0)), reflect.ValueOf(e.ShardStats(1))}
+	for i := 0; i < total.NumField(); i++ {
+		name := total.Type().Field(i).Name
+		if name == "Height" {
+			continue
+		}
+		var sum uint64
+		for _, p := range parts {
+			sum += asUint(p.Field(i))
+		}
+		if got := asUint(total.Field(i)); got != sum {
+			t.Errorf("Stats().%s = %d, shards sum to %d", name, got, sum)
+		}
+		if sum == 0 {
+			t.Errorf("%s is 0 on both shards: the stream does not exercise it", name)
+		}
 	}
 }
 
