@@ -457,8 +457,8 @@ func TestDumpBundleOnExit(t *testing.T) {
 
 	c := cliConfig{
 		traces: []string{path},
-		shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
-		readTimeout: 5 * time.Second, maxRetries: 2,
+		shards: 2, queue: 64, batch: 256, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
+		checkpointEvery: time.Hour, readTimeout: 5 * time.Second, maxRetries: 2,
 		admin:       "127.0.0.1:0",
 		flightEvery: 5 * time.Millisecond, flightDepth: 1024,
 		dumpBundle: bundlePath,

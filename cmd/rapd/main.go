@@ -185,15 +185,29 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 
 // validate rejects flag combinations that would silently do something
 // other than what the operator asked for: tuning knobs for a subsystem
-// that is switched off, thresholds in the wrong order, and fractions out
-// of range.
+// that is switched off, thresholds in the wrong order, fractions out of
+// range, and sizes or cadences the ingest defaults would quietly replace.
 func (c cliConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", c.shards}, {"queue", c.queue}, {"batch", c.batch}, {"max-retries", c.maxRetries}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d: must be >= 1", f.name, f.v)
+		}
+	}
+	if c.checkpointEvery <= 0 {
+		return fmt.Errorf("-checkpoint-every %v: cadence must be positive", c.checkpointEvery)
+	}
 	if !c.audit {
 		for _, name := range []string{"audit-every", "audit-ranges", "audit-span-bits", "audit-sample"} {
 			if c.setFlags[name] {
 				return fmt.Errorf("-%s requires -audit", name)
 			}
 		}
+	}
+	if c.audit && c.auditEvery <= 0 {
+		return fmt.Errorf("-audit-every %v: cadence must be positive", c.auditEvery)
 	}
 	if !c.admit {
 		for _, name := range []string{"admit-period", "admit-arena-soft", "admit-arena-hard"} {

@@ -86,6 +86,8 @@ func TestRunEndToEndWithRestart(t *testing.T) {
 	c := cliConfig{
 		traces:          []string{path},
 		shards:          2,
+		queue:           64,
+		batch:           256,
 		drop:            "block",
 		epsilon:         0.05,
 		universe:        20,
@@ -133,6 +135,8 @@ func TestRunSignalStyleCancel(t *testing.T) {
 		genN:            50_000_000,
 		seed:            1,
 		shards:          2,
+		queue:           64,
+		batch:           256,
 		drop:            "block",
 		epsilon:         0.05,
 		universe:        64,
@@ -206,6 +210,18 @@ func TestValidateFlagCombos(t *testing.T) {
 		{"dump bundle without admin", []string{"-stdin", "-dump-bundle", "b.tar.gz"}, "requires -admin"},
 		{"flight cadence zero", []string{"-stdin", "-admin", ":0", "-flight-every", "0s"}, "cadence must be positive"},
 		{"flight depth zero", []string{"-stdin", "-admin", ":0", "-flight-depth", "0"}, "depth must be >= 1"},
+		// Ingest would otherwise run these at its own defaults while the
+		// bundle's config, the alert rules and /readyz read what was typed.
+		{"shards zero", []string{"-stdin", "-shards", "0"}, "-shards 0: must be >= 1"},
+		{"queue zero", []string{"-stdin", "-queue", "0"}, "-queue 0: must be >= 1"},
+		{"batch zero", []string{"-stdin", "-batch", "0"}, "-batch 0: must be >= 1"},
+		{"batch negative", []string{"-stdin", "-batch", "-5"}, "-batch -5: must be >= 1"},
+		{"max retries zero", []string{"-stdin", "-max-retries", "0"}, "-max-retries 0: must be >= 1"},
+		{"checkpoint cadence zero", []string{"-stdin", "-checkpoint-dir", "d", "-checkpoint-every", "0s"}, "cadence must be positive"},
+		{"checkpoint cadence negative", []string{"-stdin", "-checkpoint-every", "-1s"}, "cadence must be positive"},
+		{"audit cadence zero", []string{"-stdin", "-audit", "-audit-every", "0s"}, "cadence must be positive"},
+		{"audit cadence negative", []string{"-stdin", "-audit", "-audit-every", "-2s"}, "cadence must be positive"},
+		{"sizes at one", []string{"-stdin", "-shards", "1", "-queue", "1", "-batch", "1", "-max-retries", "1"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

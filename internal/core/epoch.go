@@ -8,8 +8,11 @@ import (
 // DefaultPublishEvery is the default publish cadence for epoch read
 // snapshots: a fresh epoch is cut after this much offered event weight.
 // 64Ki events keeps worst-case staleness small relative to any realistic
-// merge interval while making the clone cost (one slab copy) a rounding
-// error per event.
+// merge interval. A publish clones every shard holding mass and merges
+// the later clones into the first, so with one populated shard it is one
+// slab copy (about 51 KB in 7 allocations for 3.3k nodes, under 1 B per
+// event at this cadence); each further populated shard adds a clone and a
+// merge.
 const DefaultPublishEvery = 1 << 16
 
 // Epoch is one immutable published snapshot of a profile: a read-only

@@ -74,9 +74,11 @@ type Options struct {
 	QueueLen int
 
 	// BatchLen is the most events one source read returns (default 256).
-	// Each read crosses from the reader goroutine as one handoff and is
-	// queued as one entry. A read returns what the source has at hand, so
-	// a slow or live source hands off short entries at once instead of
+	// Each read fills one of the source's BatchLen-event buffers, crosses
+	// from the reader goroutine as one handoff and is queued as one entry;
+	// once the entry is applied its buffer goes back to the source's free
+	// list for a later read. A read returns what the source has at hand,
+	// so a slow or live source hands off short entries at once instead of
 	// waiting to fill one.
 	BatchLen int
 
@@ -180,10 +182,11 @@ type Options struct {
 	// queue-wait and shard-apply stages (with merge-batch and
 	// epoch-publish children attached when the apply triggered them), and
 	// each checkpoint becomes a trace with cut and write children. The
-	// tracer's sampling policy decides what is kept; an unsampled queue
-	// entry still allocates its three spans and their attributes, 7.0
-	// allocations per entry (measured at BatchLen 256: 0.032 allocations
-	// per event traced against 0.005 untraced). With Metrics also set,
+	// tracer's sampling policy decides what is kept. A queue entry carries
+	// only its head-sampling decision; its spans are built when its apply
+	// ends, and only when the trace is sampled, recording is forced, or
+	// the batch reached the slow-op threshold, so an unsampled entry
+	// allocates nothing for tracing. With Metrics also set,
 	// split/merge decisions (tree.split, tree.merge), audit verdicts and
 	// admission level changes are recorded on it as zero-duration events.
 	Tracer *span.Tracer
@@ -231,8 +234,12 @@ func (o Options) withDefaults() Options {
 
 // batch is one queue entry: a run of events from a single source.
 type batch struct {
-	src    *sourceState
-	events []trace.Event
+	src *sourceState
+
+	// buf is the source buffer the run was read into, handed back to the
+	// source's free list once the run is applied; events is the run, buf
+	// less any prefix a resumed source skipped.
+	buf, events []trace.Event
 
 	// enqueuedAt is stamped by enqueue when latency metrics or tracing are
 	// enabled, so the drain can observe the queue-wait stage. Zero when
@@ -240,10 +247,10 @@ type batch struct {
 	// instrumentation.
 	enqueuedAt time.Time
 
-	// sp is the batch's root span ("ingest.batch"), started at enqueue
-	// when a Tracer is configured. The drain worker attaches the
-	// stage children and ends it.
-	sp *span.Span
+	// head is the batch trace's head-sampling decision, taken at enqueue
+	// when a Tracer is configured. The trace's spans are built when the
+	// apply ends, and only when the tracer would keep them.
+	head span.Head
 }
 
 // shardQueue is the bounded queue feeding one shard of the engine. The
@@ -278,6 +285,14 @@ type sourceState struct {
 	// the per-source ledger.
 	unadmitted uint64
 
+	// free holds the source's read buffers, each BatchLen events, between
+	// uses: the applier returns one after applying its entry and the
+	// reader takes one per read. It is bounded, and with room for every
+	// buffer a source can have in flight (QueueLen queued, one being
+	// applied, one held by pump, one being read) a put never finds it
+	// full in steady state.
+	free chan []trace.Event
+
 	dropped atomic.Uint64
 	retries atomic.Uint64
 	failed  atomic.Bool
@@ -301,6 +316,27 @@ func (ss *sourceState) backoffRemaining(now time.Time) time.Duration {
 		return d
 	}
 	return 0
+}
+
+// getBuf returns a whole buffer for the next read: a recycled one when
+// the free list has one, a new one otherwise.
+func (ss *sourceState) getBuf(batchLen int) []trace.Event {
+	select {
+	case buf := <-ss.free:
+		return buf
+	default:
+		return make([]trace.Event, batchLen)
+	}
+}
+
+// putBuf hands a buffer nothing reads any more back to the free list,
+// whole whatever window of it was used, or to the GC when the list is
+// full.
+func (ss *sourceState) putBuf(buf []trace.Event) {
+	select {
+	case ss.free <- buf[:cap(buf)]:
+	default:
+	}
 }
 
 func (ss *sourceState) noteErr(err error) {
@@ -387,6 +423,7 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 		in.sources = append(in.sources, &sourceState{
 			spec:  spec,
 			queue: in.queues[i%opts.Shards],
+			free:  make(chan []trace.Event, opts.QueueLen+3),
 		})
 	}
 
@@ -667,22 +704,20 @@ func (in *Ingestor) restore(st *checkpointState) error {
 
 // apply folds one batch into the engine under its shard's lock, advancing
 // the source's applied position in the same critical section so
-// checkpoint cuts stay exact. The whole chunk goes to the tree in one
-// AddSamples call; scratch is the worker-local conversion buffer,
-// returned for reuse so steady-state draining does not allocate.
-func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.Sample {
+// checkpoint cuts stay exact, then hands the batch's buffer back to its
+// source. The stage histograms are observed and, when the tracer would
+// keep them, the batch's spans built once the apply has ended.
+func (in *Ingestor) apply(q *shardQueue, b batch) {
+	timed := !b.enqueuedAt.IsZero()
 	var start time.Time
-	if in.hApply != nil || b.sp != nil {
+	if timed {
 		start = time.Now()
-		if !b.enqueuedAt.IsZero() {
-			in.observeQueueWait(b, start)
-		}
 	}
 
 	// Only a kept batch pays for stat deltas and trigger attribution; the
 	// merge-batch / epoch-publish children exist to explain a slow apply
 	// in a recorded trace, not to census those events.
-	sampled := b.sp.Sampled()
+	sampled := b.head.Sampled()
 	var mergesBefore, mergesAfter uint64
 	pub := in.engine.Publisher()
 	var pubBefore uint64
@@ -690,10 +725,6 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 		pubBefore = pub.Published()
 	}
 
-	scratch = scratch[:0]
-	for _, e := range b.events {
-		scratch = append(scratch, core.Sample{Value: e.Value, Weight: e.Weight})
-	}
 	in.engine.WithShard(q.idx, func(tr *core.Tree) {
 		if sampled {
 			mergesBefore = tr.Stats().MergeBatches
@@ -702,84 +733,82 @@ func (in *Ingestor) apply(q *shardQueue, b batch, scratch []core.Sample) []core.
 		// the admission gate refused from it — both reads happen under the
 		// same shard lock as the gate, so the attribution is exact.
 		before := tr.UnadmittedN()
-		tr.AddSamples(scratch)
+		for _, e := range b.events {
+			tr.AddN(e.Value, e.Weight)
+		}
 		b.src.applied += uint64(len(b.events))
 		b.src.unadmitted += tr.UnadmittedN() - before
 		if sampled {
 			mergesAfter = tr.Stats().MergeBatches
 		}
 	})
+	b.src.putBuf(b.buf)
 
-	if in.hApply == nil && b.sp == nil {
-		return scratch
+	if !timed {
+		return
 	}
 	end := time.Now()
-	applyDur := end.Sub(start)
-	if in.hApply != nil {
-		in.hApply[q.idx].Observe(applyDur.Seconds())
-	}
-	if b.sp == nil {
-		if in.aApply != nil {
-			in.aApply.Observe(applyDur)
-		}
-		return scratch
-	}
-
-	ap := in.opts.Tracer.StartChildAt(b.sp.Context(), "apply", start)
-	ap.SetAttr("shard", strconv.Itoa(q.idx))
-	if sampled {
-		// Merge batches and epoch publishes happen inside the tree during
-		// AddSamples with no context of their own; deltas across the apply
-		// attribute them to this batch, as children covering the apply
-		// window with the trigger named.
-		if mergesAfter > mergesBefore {
-			mb := in.opts.Tracer.StartChildAt(ap.Context(), "merge_batch", start)
-			mb.SetAttr("batches", strconv.FormatUint(mergesAfter-mergesBefore, 10))
-			mb.EndAt(end)
-		}
-		if pub != nil {
-			if d := pub.Published() - pubBefore; d > 0 {
-				ep := in.opts.Tracer.StartChildAt(ap.Context(), "epoch_publish", start)
-				ep.SetAttr("trigger", "offered-mass cadence")
-				ep.SetAttr("epochs", strconv.FormatUint(d, 10))
-				ep.EndAt(end)
-			}
-		}
-	}
-	ap.EndAt(end)
-	if in.aApply != nil {
-		if c := ap.Context(); sampled {
-			in.aApply.ObserveExemplar(applyDur, c.Trace.String(), c.Span.String())
-		} else {
-			in.aApply.Observe(applyDur)
-		}
-	}
-	b.sp.SetAttr("source", b.src.spec.Name)
-	b.sp.SetAttr("events", strconv.Itoa(len(b.events)))
-	b.sp.EndAt(end)
-	return scratch
-}
-
-// observeQueueWait records the enqueue→drain wait on the fixed and
-// adaptive histograms and, when the batch is traced, as a queue_wait child
-// span covering the wait interval.
-func (in *Ingestor) observeQueueWait(b batch, drained time.Time) {
-	wait := drained.Sub(b.enqueuedAt)
+	wait, applyDur := start.Sub(b.enqueuedAt), end.Sub(start)
 	if in.hQueueWait != nil {
 		in.hQueueWait.Observe(wait.Seconds())
 	}
-	var qw *span.Span
-	if b.sp != nil {
-		qw = in.opts.Tracer.StartChildAt(b.sp.Context(), "queue_wait", b.enqueuedAt)
-		qw.EndAt(drained)
+	if in.hApply != nil {
+		in.hApply[q.idx].Observe(applyDur.Seconds())
 	}
-	if in.aQueueWait != nil {
-		if c := qw.Context(); qw.Sampled() {
-			in.aQueueWait.ObserveExemplar(wait, c.Trace.String(), c.Span.String())
-		} else {
-			in.aQueueWait.Observe(wait)
+	var qw, ap *span.Span
+	if in.opts.Tracer.Keep(b.head, end.Sub(b.enqueuedAt)) {
+		var epochs uint64
+		if sampled && pub != nil {
+			epochs = pub.Published() - pubBefore
 		}
+		qw, ap = in.traceBatch(q, b, start, end, mergesAfter-mergesBefore, epochs)
 	}
+	if in.aQueueWait == nil {
+		return
+	}
+	if c := qw.Context(); qw.Sampled() {
+		in.aQueueWait.ObserveExemplar(wait, c.Trace.String(), c.Span.String())
+	} else {
+		in.aQueueWait.Observe(wait)
+	}
+	if c := ap.Context(); sampled {
+		in.aApply.ObserveExemplar(applyDur, c.Trace.String(), c.Span.String())
+	} else {
+		in.aApply.Observe(applyDur)
+	}
+}
+
+// traceBatch builds and ends a kept batch's spans: the ingest.batch root
+// from enqueue to the apply's end, a queue_wait child up to the drain, and
+// an apply child after it. Merge batches and epoch publishes happen
+// inside the tree during the apply with no context of their own, so the
+// deltas a sampled batch counted across it become merge_batch and
+// epoch_publish children of apply, covering the apply window with the
+// trigger named. It returns the queue_wait and apply spans, whose IDs the
+// stage profiles keep as exemplars.
+func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, merges, epochs uint64) (qw, ap *span.Span) {
+	tr := in.opts.Tracer
+	root := tr.StartRootFrom(b.head, "ingest.batch", b.enqueuedAt)
+	qw = tr.StartChildAt(root.Context(), "queue_wait", b.enqueuedAt)
+	qw.EndAt(drained)
+	ap = tr.StartChildAt(root.Context(), "apply", drained)
+	ap.SetAttr("shard", strconv.Itoa(q.idx))
+	if merges > 0 {
+		mb := tr.StartChildAt(ap.Context(), "merge_batch", drained)
+		mb.SetAttr("batches", strconv.FormatUint(merges, 10))
+		mb.EndAt(end)
+	}
+	if epochs > 0 {
+		ep := tr.StartChildAt(ap.Context(), "epoch_publish", drained)
+		ep.SetAttr("trigger", "offered-mass cadence")
+		ep.SetAttr("epochs", strconv.FormatUint(epochs, 10))
+		ep.EndAt(end)
+	}
+	ap.EndAt(end)
+	root.SetAttr("source", b.src.spec.Name)
+	root.SetAttr("events", strconv.Itoa(len(b.events)))
+	root.EndAt(end)
+	return qw, ap
 }
 
 // Run drives the pipeline until every source is drained or ctx is
@@ -793,9 +822,8 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		workers.Add(1)
 		go func(q *shardQueue) {
 			defer workers.Done()
-			scratch := make([]core.Sample, 0, in.opts.BatchLen)
 			for b := range q.ch {
-				scratch = in.apply(q, b, scratch)
+				in.apply(q, b)
 			}
 		}(q)
 	}
@@ -991,32 +1019,26 @@ func (in *Ingestor) supervise(ctx context.Context, ss *sourceState) {
 // already accounted for by ss.consumed (crash recovery or a mid-stream
 // reopen). Reads run in a helper goroutine so a stalled source can be
 // detected and abandoned; the helper exits once the source unblocks or is
-// closed. Each read of up to BatchLen events crosses to pump as one slice
-// and becomes one queue entry. The stall timer covers only the source: it
-// restarts after each handoff, so time blocked in enqueue is never taken
-// for a stall. pump reports whether any new events were handed off, and
-// returns nil only on clean EOF.
+// closed. Each read of up to BatchLen events lands in a buffer from the
+// source's free list, crosses to pump as one slice and becomes one queue
+// entry. The stall timer covers only the source: it restarts after each
+// handoff, so time blocked in enqueue is never taken for a stall. pump
+// reports whether any new events were handed off, and returns nil only on
+// clean EOF.
 func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source) (progressed bool, err error) {
 	reads := make(chan []trace.Event)
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
 		defer close(reads)
-		// Reads fill successive slices of one BatchLen allocation, so a
-		// source that returns short reads still costs one allocation per
-		// BatchLen events.
-		var buf []trace.Event
 		for {
-			if len(buf) == 0 {
-				buf = make([]trace.Event, in.opts.BatchLen)
-			}
+			buf := ss.getBuf(in.opts.BatchLen)
 			n := trace.NextBatch(src, buf)
 			if n == 0 {
 				return
 			}
 			select {
-			case reads <- buf[:n:n]:
-				buf = buf[n:]
+			case reads <- buf[:n]:
 			case <-stop:
 				return
 			}
@@ -1034,18 +1056,21 @@ func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source)
 
 	for {
 		select {
-		case evs, ok := <-reads:
+		case buf, ok := <-reads:
 			if !ok {
 				return progressed, sourceErr(src)
 			}
+			evs := buf
 			if skip > 0 {
 				k := min(skip, uint64(len(evs)))
 				skip -= k
 				evs = evs[k:]
 			}
-			if len(evs) > 0 {
+			if len(evs) == 0 {
+				ss.putBuf(buf)
+			} else {
 				progressed = true
-				if !in.enqueue(ctx, ss, evs) {
+				if !in.enqueue(ctx, ss, buf, evs) {
 					return progressed, ctx.Err()
 				}
 			}
@@ -1060,16 +1085,17 @@ func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source)
 	}
 }
 
-// enqueue hands a batch to the source's shard under the configured
-// overload policy, advancing the reader-local stream position for both
-// delivered and dropped events. It returns false only when a Block-policy
-// enqueue was abandoned because ctx ended (those events stay uncounted and
-// are replayed on the next run).
-func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, evs []trace.Event) bool {
-	b := batch{src: ss, events: evs}
+// enqueue hands the run evs, read into buf, to the source's shard under
+// the configured overload policy, advancing the reader-local stream
+// position for both delivered and dropped events. A run that is not
+// queued gives buf straight back to the free list. It returns false only
+// when a Block-policy enqueue was abandoned because ctx ended (those
+// events stay uncounted and are replayed on the next run).
+func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, buf, evs []trace.Event) bool {
+	b := batch{src: ss, buf: buf, events: evs}
 	if in.hQueueWait != nil || in.opts.Tracer != nil {
 		b.enqueuedAt = time.Now()
-		b.sp = in.opts.Tracer.StartRootAt("ingest.batch", b.enqueuedAt)
+		b.head = in.opts.Tracer.Head()
 	}
 	n := uint64(len(evs))
 	if in.opts.Drop == DropNewest {
@@ -1077,6 +1103,7 @@ func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, evs []trace.Ev
 		case ss.queue.ch <- b:
 		default:
 			ss.dropped.Add(n)
+			ss.putBuf(buf)
 		}
 		ss.consumed += n
 		return true
@@ -1086,6 +1113,7 @@ func (in *Ingestor) enqueue(ctx context.Context, ss *sourceState, evs []trace.Ev
 		ss.consumed += n
 		return true
 	case <-ctx.Done():
+		ss.putBuf(buf)
 		return false
 	}
 }

@@ -176,20 +176,23 @@ func TestIngestSlowApplyPromoted(t *testing.T) {
 	}
 }
 
-// TestBatchSpansAndAllocs is the deterministic gate on tracing cost: spans
-// are per queue entry, never per event. 1M gzip values through a 4-shard
-// pipeline with read snapshots on and an unsampled tracer start exactly
-// three spans per entry (ingest.batch, queue_wait, apply), and Open+Run
-// allocates at most 0.05 times per event with the tracer and 0.01 without
-// (0.032 and 0.005 measured). A span or an allocation per event fails it
-// on any machine.
+// TestBatchSpansAndAllocs is the deterministic gate on tracing and
+// buffer cost: spans are built per kept queue entry, never per event, and
+// the read buffers are recycled. 1M gzip values go through a 4-shard
+// pipeline with read snapshots on. With an unsampled tracer each entry
+// takes its head decision and builds no span; with every trace sampled
+// each entry builds exactly its three spans (ingest.batch, queue_wait,
+// apply). Open+Run allocates at most 0.002 times and 4 bytes per event,
+// with the unsampled tracer and without one (0.0006 and 2.3 measured). A
+// buffer made per read, or spans built for every entry, fails it on any
+// machine.
 func TestBatchSpansAndAllocs(t *testing.T) {
 	const n, batchLen = 1_000_000, 256
 	gzip, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocsPerEvent := func(tr *span.Tracer) float64 {
+	run := func(tr *span.Tracer) (allocs, bytes float64) {
 		t.Helper()
 		opts := Options{
 			Shards:        4,
@@ -212,22 +215,48 @@ func TestBatchSpansAndAllocs(t *testing.T) {
 		if got := in.N(); got != n {
 			t.Fatalf("N = %d, want %d", got, n)
 		}
-		return float64(after.Mallocs-before.Mallocs) / n
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
+	entries := uint64((n + batchLen - 1) / batchLen)
 
 	tr := span.New(span.Options{SampleRate: 1 << 60, SlowThreshold: -1})
-	traced := allocsPerEvent(tr)
-	untraced := allocsPerEvent(nil)
-	entries := uint64((n + batchLen - 1) / batchLen)
-	t.Logf("%d spans for %d queue entries; %.4f allocs/event traced, %.4f untraced",
-		tr.Started(), entries, traced, untraced)
-	if got := tr.Started(); got != 3*entries {
-		t.Errorf("%d spans started for %d queue entries, want 3 per entry", got, entries)
+	traced, tracedB := run(tr)
+	untraced, untracedB := run(nil)
+	t.Logf("%d spans started for %d queue entries; %.4f allocs and %.2f B per event traced, %.4f and %.2f untraced",
+		tr.Started(), entries, traced, tracedB, untraced, untracedB)
+	// Started counts each entry's head decision as its root; an entry
+	// that builds its spans adds its two children.
+	if got := tr.Started(); got != entries {
+		t.Errorf("%d spans started for %d unsampled queue entries, want only their %d head decisions", got, entries, entries)
 	}
-	if traced > 0.05 {
-		t.Errorf("traced pipeline allocated %.4f times per event, want <= 0.05", traced)
+	if got := len(tr.Spans()); got != 0 {
+		t.Errorf("unsampled pipeline recorded %d spans", got)
 	}
-	if untraced > 0.01 {
-		t.Errorf("untraced pipeline allocated %.4f times per event, want <= 0.01", untraced)
+	for _, g := range []struct {
+		name         string
+		allocs, size float64
+	}{{"traced", traced, tracedB}, {"untraced", untraced, untracedB}} {
+		if g.allocs > 0.002 {
+			t.Errorf("%s pipeline allocated %.4f times per event, want <= 0.002", g.name, g.allocs)
+		}
+		if g.size > 4 {
+			t.Errorf("%s pipeline allocated %.2f B per event, want <= 4", g.name, g.size)
+		}
+	}
+
+	all := span.New(span.Options{SampleRate: 1, Capacity: 1 << 15, SlowThreshold: -1})
+	run(all)
+	spans := all.Spans()
+	if got := all.Started(); got != uint64(len(spans)) {
+		t.Fatalf("%d spans started but %d recorded with every trace sampled", got, len(spans))
+	}
+	built := map[string]uint64{}
+	for _, s := range spans {
+		built[s.Name]++
+	}
+	for _, name := range []string{"ingest.batch", "queue_wait", "apply"} {
+		if built[name] != entries {
+			t.Errorf("%d %s spans for %d sampled queue entries, want one each", built[name], name, entries)
+		}
 	}
 }

@@ -220,8 +220,9 @@ func TestRestoreAndAdoptShardRepublish(t *testing.T) {
 // core.DefaultPublishEvery offered events, whichever shard they land on:
 // 2M events in 256-event chunks through one handle of a 4-shard engine
 // publish exactly 2,000,000 / 65,536 = 30 epochs after the initial one.
-// Each publish clones and merges every shard, so a cadence that fires
-// early multiplies the engine's per-event cost.
+// Each publish clones every shard holding mass and merges all but the
+// first clone into it, so a cadence that fires early multiplies the
+// engine's per-event cost.
 func TestPublishesPerMillionEvents(t *testing.T) {
 	const n, chunk = 2_000_000, 256
 	e, err := New(core.DefaultConfig(), 4)

@@ -218,9 +218,12 @@ func (e *Engine) WithShard(i int, fn func(t *core.Tree)) {
 
 // EnableReadSnapshots switches the engine's query methods to the epoch
 // read path: every `every` offered events (0 selects
-// core.DefaultPublishEvery) the shards are cloned — one slab copy per
-// shard, each under its own lock only — merged lock-free, and published
-// as an immutable Epoch. Estimate/EstimateBounds/HotRanges then answer
+// core.DefaultPublishEvery) the shards holding any mass are cloned — one
+// slab copy each, under that shard's lock only — the later clones are
+// merged into the first, and the result is published as an immutable
+// Epoch. The publish runs on whichever goroutine lapsed the cadence,
+// usually an ingesting one, so with one populated shard it costs one
+// slab copy and no merge. Estimate/EstimateBounds/HotRanges then answer
 // from the latest epoch with zero lock acquisitions. Idempotent; the
 // first call publishes an initial epoch so readers never observe an
 // empty window. Deployments without a steady event flow should also
@@ -302,22 +305,10 @@ func (e *Engine) PublishNow() {
 // skip PublishNow when nothing arrived.
 func (e *Engine) PublishPending() uint64 { return e.pubPend.Load() }
 
-// publishInto cuts and publishes one merged epoch: clone each shard
-// under its own lock (a single slab copy, so locks are held for a
-// memcpy, not a tree walk), then merge the private clones lock-free.
-// Callers serialize via pubMu so epoch sequence numbers match publish
-// order.
+// publishInto cuts and publishes one merged epoch (see union). Callers
+// serialize via pubMu so epoch sequence numbers match publish order.
 func (e *Engine) publishInto(p *core.EpochPublisher) {
-	m := core.MustNew(e.cfg)
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		c := sh.tree.Clone()
-		sh.mu.Unlock()
-		if err := m.Merge(c); err != nil {
-			panic(err) // shard trees share the engine config by construction
-		}
-	}
-	p.Publish(m)
+	p.Publish(e.union(false))
 }
 
 // republish refreshes the current epoch after a wholesale tree swap
@@ -328,28 +319,56 @@ func (e *Engine) republish() {
 	}
 }
 
-// merged builds a one-off union of all shard trees. Shards are folded in
-// one at a time, each under its own lock only — queries never stop the
-// world. The result is a passive snapshot (no hooks).
-func (e *Engine) merged() *core.Tree {
-	m := core.MustNew(e.cfg)
+// union builds the merged view of every shard: a clone of the first shard
+// holding any mass, with each later such shard merged into it. Shards with
+// no mass are skipped, not merged: Merge re-checks every node of the
+// destination against the split threshold even when the source adds
+// nothing. Every shard's counts land at the same ranges whichever shard
+// seeds the view, so only zero-count nodes can differ from a union built
+// up from an empty tree. With held false each shard is locked only while
+// it is cloned (one slab copy, not a tree walk) and the merges run
+// lock-free; with held true the caller holds every shard lock and later
+// shards merge straight from the live trees. The result is a passive
+// snapshot (no hooks, tap or gate).
+func (e *Engine) union(held bool) *core.Tree {
+	var m *core.Tree
 	for _, sh := range e.shards {
-		sh.mu.Lock()
-		err := m.Merge(sh.tree)
-		sh.mu.Unlock()
-		if err != nil {
-			// Shard trees share the engine config by construction; a
-			// mismatch is a programming error, not a runtime condition.
-			panic(err)
+		if !held {
+			sh.mu.Lock()
 		}
+		src := sh.tree
+		switch {
+		case src.N() == 0 && src.UnadmittedN() == 0:
+			src = nil
+		case m == nil || !held:
+			src = src.Clone()
+		}
+		if !held {
+			sh.mu.Unlock()
+		}
+		switch {
+		case src == nil:
+		case m == nil:
+			m = src
+		default:
+			if err := m.Merge(src); err != nil {
+				// Shard trees share the engine config by construction; a
+				// mismatch is a programming error, not a runtime condition.
+				panic(err)
+			}
+		}
+	}
+	if m == nil {
+		return core.MustNew(e.cfg)
 	}
 	return m
 }
 
 // MergedTree returns a merged snapshot of all shards as a plain tree, for
-// dumps, analysis, and serialization. The snapshot is independent of the
-// engine: mutating it does not touch live shards.
-func (e *Engine) MergedTree() *core.Tree { return e.merged() }
+// dumps, analysis, and serialization. Shards are read one at a time, each
+// under its own lock only — queries never stop the world. The snapshot is
+// independent of the engine: mutating it does not touch live shards.
+func (e *Engine) MergedTree() *core.Tree { return e.union(false) }
 
 // Estimate returns the lower-bound estimate for [lo, hi] over the merged
 // view. The undershoot is at most eps*N() for tracked ranges. With read
@@ -362,7 +381,7 @@ func (e *Engine) Estimate(lo, hi uint64) uint64 {
 			return ep.Estimate(lo, hi)
 		}
 	}
-	return e.merged().Estimate(lo, hi)
+	return e.union(false).Estimate(lo, hi)
 }
 
 // EstimateBounds returns the bracketing estimates for [lo, hi] over the
@@ -375,7 +394,7 @@ func (e *Engine) EstimateBounds(lo, hi uint64) (low, high uint64) {
 			return ep.EstimateBounds(lo, hi)
 		}
 	}
-	return e.merged().EstimateBounds(lo, hi)
+	return e.union(false).EstimateBounds(lo, hi)
 }
 
 // HotRanges reports the ranges holding at least theta of the combined
@@ -388,7 +407,7 @@ func (e *Engine) HotRanges(theta float64) []core.HotRange {
 			return ep.HotRanges(theta)
 		}
 	}
-	return e.merged().HotRanges(theta)
+	return e.union(false).HotRanges(theta)
 }
 
 // Merge folds a plain tree into one round-robin shard (see
@@ -537,12 +556,7 @@ func (e *Engine) MergedTreeCut(capture func(m *core.Tree)) *core.Tree {
 			e.shards[i].mu.Unlock()
 		}
 	}()
-	m := core.MustNew(e.cfg)
-	for _, sh := range e.shards {
-		if err := m.Merge(sh.tree); err != nil {
-			panic(err) // shard trees share the engine config by construction
-		}
-	}
+	m := e.union(true)
 	if capture != nil {
 		capture(m)
 	}

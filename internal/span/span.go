@@ -226,23 +226,67 @@ func (tr *Tracer) StartRoot(name string) *Span {
 }
 
 // StartRootAt is StartRoot with an explicit start time, for call sites
-// that stamped the clock before deciding to trace (queue enqueue).
+// that stamped the clock before deciding to trace.
 func (tr *Tracer) StartRootAt(name string, start time.Time) *Span {
+	return tr.StartRootFrom(tr.Head(), name, start)
+}
+
+// Head is a root span's head-sampling decision taken apart from the span:
+// whether its trace won the head coin, and whether Force held when it
+// started. An operation that learns only when it ends whether its spans
+// would be kept (a queue entry) carries a Head instead of a Span, and
+// builds its spans with StartRootFrom only when Keep holds.
+type Head struct {
+	sampled, forced bool
+}
+
+// Sampled reports what Span.Sampled would for the root built from h.
+func (h Head) Sampled() bool { return h.sampled || h.forced }
+
+// Head takes a root's head-sampling decision, exactly as StartRoot does,
+// without building the span. It counts as a started root. A nil Tracer
+// returns the zero Head, which nothing keeps.
+func (tr *Tracer) Head() Head {
+	if tr == nil {
+		return Head{}
+	}
+	n := tr.roots.Add(1)
+	return Head{
+		sampled: n%tr.opt.SampleRate == 0,
+		forced:  tr.opt.Force != nil && tr.opt.Force(),
+	}
+}
+
+// Keep reports whether the root built from h and lasting dur would be
+// recorded when it ends now: the EndAt decision, with Force consulted
+// now. A trace's other spans lie within its root and inherit its coin, so
+// when Keep is false none of them would be recorded either.
+func (tr *Tracer) Keep(h Head, dur time.Duration) bool {
+	if tr == nil {
+		return false
+	}
+	return h.Sampled() ||
+		(tr.opt.SlowThreshold > 0 && dur >= tr.opt.SlowThreshold) ||
+		(tr.opt.Force != nil && tr.opt.Force())
+}
+
+// StartRootFrom builds, at start, the root span of a new trace whose
+// head decision h was taken earlier by Head; the head coin does not
+// advance again.
+func (tr *Tracer) StartRootFrom(h Head, name string, start time.Time) *Span {
 	if tr == nil {
 		return nil
 	}
-	n := tr.roots.Add(1)
-	forced := tr.opt.Force != nil && tr.opt.Force()
 	return &Span{
 		tr: tr,
 		ctx: Context{
 			Trace:   newTraceID(),
 			Span:    newSpanID(),
-			Sampled: n%tr.opt.SampleRate == 0,
+			Sampled: h.sampled,
 		},
 		name:   name,
 		start:  start,
-		forced: forced,
+		forced: h.forced,
 	}
 }
 

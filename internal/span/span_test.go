@@ -46,6 +46,58 @@ func TestHeadSamplingRate(t *testing.T) {
 	}
 }
 
+// TestHeadThenBuild checks a root whose span is built only at its end:
+// Head takes the same 1-in-N coin StartRoot does and counts as a started
+// root, StartRootFrom builds the span without taking the coin again, and
+// Keep holds exactly when the built root's EndAt would record it —
+// sampled, slow, or forced at start or at the end.
+func TestHeadThenBuild(t *testing.T) {
+	tr := New(Options{SampleRate: 4, SlowThreshold: time.Second})
+	start := time.Now()
+	kept := 0
+	for i := 0; i < 100; i++ {
+		h := tr.Head()
+		if !tr.Keep(h, time.Millisecond) {
+			continue
+		}
+		kept++
+		s := tr.StartRootFrom(h, "op", start)
+		if !s.Sampled() || !h.Sampled() {
+			t.Fatal("kept head built an unsampled root")
+		}
+		s.EndAt(start.Add(time.Millisecond))
+	}
+	if kept != 25 || len(tr.Spans()) != 25 || tr.Started() != 100 {
+		t.Fatalf("kept %d, recorded %d, started %d; want 25, 25, 100", kept, len(tr.Spans()), tr.Started())
+	}
+	if r := tr.Spans()[0]; r.Name != "op" || r.StartNano != start.UnixNano() || r.DurationNs != int64(time.Millisecond) {
+		t.Fatalf("built root recorded as %+v", r)
+	}
+
+	// A lost coin is kept only by the slow threshold or Force.
+	force := false
+	rare := New(Options{SampleRate: 1 << 60, SlowThreshold: time.Second, Force: func() bool { return force }})
+	h := rare.Head()
+	if h.Sampled() || rare.Keep(h, time.Millisecond) {
+		t.Fatal("unsampled, fast, unforced head kept")
+	}
+	if !rare.Keep(h, time.Second) {
+		t.Fatal("slow head not kept")
+	}
+	force = true
+	if !rare.Keep(h, time.Millisecond) {
+		t.Fatal("head not kept while Force holds")
+	}
+	if forced := rare.Head(); !forced.Sampled() {
+		t.Fatal("head taken while Force holds is not sampled")
+	}
+
+	var nilTracer *Tracer
+	if nh := nilTracer.Head(); nh.Sampled() || nilTracer.Keep(nh, time.Hour) || nilTracer.StartRootFrom(nh, "x", start) != nil {
+		t.Fatal("nil tracer keeps or builds a span")
+	}
+}
+
 func TestChildInheritsTraceAndSampling(t *testing.T) {
 	tr := New(Options{SampleRate: 1, SlowThreshold: -1})
 	root := tr.StartRoot("parent")
