@@ -152,7 +152,7 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.IntVar(&c.branch, "branch", core.DefaultBranch, "branching factor")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "directory for crash-safe checkpoints (empty: disabled)")
 	fs.DurationVar(&c.checkpointEvery, "checkpoint-every", 10*time.Second, "checkpoint cadence; bounds the crash replay window")
-	fs.DurationVar(&c.readTimeout, "read-timeout", 30*time.Second, "per-read stall timeout (0: disabled)")
+	fs.DurationVar(&c.readTimeout, "read-timeout", 30*time.Second, "per-read stall timeout for trace files and -bench streams; -stdin, which cannot be reopened, waits for its producer (0: disabled)")
 	fs.IntVar(&c.maxRetries, "max-retries", 5, "consecutive failures before a source is abandoned")
 	fs.DurationVar(&c.statsEvery, "stats-every", 10*time.Second, "stats logging cadence (0: disabled)")
 	fs.StringVar(&c.admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /readyz, /spans, /vars, /alerts, /statusz, /debug/bundle, pprof (empty: disabled)")

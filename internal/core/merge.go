@@ -49,6 +49,7 @@ func (t *Tree) Merge(other *Tree) error {
 	t.graft(0, other, 0)
 	t.clearStart()
 	t.n += other.n
+	t.splitAt = 0 // n may have wrapped, taking the threshold below it
 	t.unadmitted += other.unadmitted
 	t.splits += other.splits
 	t.merges += other.merges

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rap/internal/stats"
+	"rap/internal/trace"
 	"rap/internal/workload"
 )
 
@@ -158,49 +159,66 @@ func microZipf() []uint64 {
 // TestDescentLevelsPerEvent is the deterministic gate on descent work. A
 // root descent walks ~26 levels per gzip load value and ~31 per micro
 // Zipf point at DefaultConfig; from the start table, an update walks only
-// the few levels below its slot. The counts repeat exactly on any machine,
-// so unlike a nanosecond baseline this catches a descent that silently
-// went back to the root.
+// the few levels below its slot. Code and address streams leave the zero
+// spine higher and branch below it, which the key's bits past the spine
+// cover. The counts repeat exactly on any machine, so unlike a nanosecond
+// baseline this catches a descent that silently went back to the root or
+// a key that got narrower. The gzip tree also bounds the table's own
+// footprint, which allocating rows only for the spine lengths a stream
+// uses keeps to a fraction of the flat (H+1)·2^10-slot table.
 func TestDescentLevelsPerEvent(t *testing.T) {
 	const n = 1_000_000
-	perEvent := func(tr *Tree) float64 { return float64(tr.Stats().DescentLevels) / n }
-
-	t.Run("gzip-values", func(t *testing.T) {
-		b, err := workload.ByName("gzip")
+	bench := func(name string) workload.Benchmark {
+		b, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := b.Values(1, n)
-		tr := MustNew(DefaultConfig())
-		chunk := make([]Sample, 0, 256)
-		for i := 0; i < n; i++ {
-			e, _ := src.Next()
-			chunk = append(chunk, Sample{Value: e.Value, Weight: e.Weight})
-			if len(chunk) == cap(chunk) {
-				tr.AddSamples(chunk)
+		return b
+	}
+	zipf := microZipf()
+	for _, tc := range []struct {
+		name      string
+		src       func() trace.Source
+		maxLevels float64
+		maxBytes  int // 0: unbounded
+	}{
+		{"gzip-values", func() trace.Source { return bench("gzip").Values(1, n) }, 2.8, 80 << 10},
+		{"mcf-load-addresses", func() trace.Source {
+			loads := bench("mcf").Loads(1, n)
+			return trace.FuncSource(func() (uint64, bool) { return loads.Next().Addr, true })
+		}, 7, 0},
+		{"gcc-code", func() trace.Source { return bench("gcc").Code(1, n) }, 8.5, 0},
+		{"micro-zipf", func() trace.Source { return trace.NewSliceSource(zipf) }, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := MustNew(DefaultConfig())
+			src := tc.src()
+			events := make([]trace.Event, 256)
+			chunk := make([]Sample, 0, len(events))
+			for fed := 0; fed < n; {
+				k := trace.NextBatch(src, events[:min(len(events), n-fed)])
+				if k == 0 { // a finite source (micro Zipf) cycles
+					src = tc.src()
+					continue
+				}
 				chunk = chunk[:0]
+				for _, e := range events[:k] {
+					chunk = append(chunk, Sample{Value: e.Value, Weight: e.Weight})
+				}
+				tr.AddSamples(chunk)
+				fed += k
 			}
-		}
-		tr.AddSamples(chunk)
-		got := perEvent(tr)
-		t.Logf("gzip values: %.2f levels/event", got)
-		if got > 4 {
-			t.Fatalf("gzip values walked %.2f levels/event, want <= 4", got)
-		}
-	})
-
-	t.Run("micro-zipf", func(t *testing.T) {
-		points := microZipf()
-		tr := MustNew(DefaultConfig())
-		for i := 0; i < n; i++ {
-			tr.Add(points[i&(len(points)-1)])
-		}
-		got := perEvent(tr)
-		t.Logf("micro zipf: %.2f levels/event", got)
-		if got > 1 {
-			t.Fatalf("micro zipf walked %.2f levels/event, want <= 1", got)
-		}
-	})
+			st := tr.Stats()
+			levels := float64(st.DescentLevels) / n
+			t.Logf("%s: %.2f levels/event, start table %d B", tc.name, levels, st.StartTableBytes)
+			if levels > tc.maxLevels {
+				t.Errorf("%s walked %.2f levels/event, want <= %g", tc.name, levels, tc.maxLevels)
+			}
+			if tc.maxBytes > 0 && st.StartTableBytes > tc.maxBytes {
+				t.Errorf("%s start table holds %d B, want <= %d", tc.name, st.StartTableBytes, tc.maxBytes)
+			}
+		})
+	}
 }
 
 // TestAddAllocations is the deterministic gate on per-event allocation. A

@@ -66,6 +66,13 @@ type Tree struct {
 	// descent. descentLevels counts the child steps descents walked.
 	start         *startTable
 	descentLevels uint64
+
+	// splitAt is a whole count no greater than SplitThreshold(), so a
+	// count at or below it cannot split and only one above it needs the
+	// float test. Each step of the threshold's float expression is
+	// monotone in n, so a bound taken at one n holds at every larger n.
+	// 0 is always a bound; a wrap of n resets to it.
+	splitAt uint64
 }
 
 // Stats is a snapshot of the tree's bookkeeping counters.
@@ -272,15 +279,25 @@ func (t *Tree) AddN(p uint64, weight uint64) {
 		return
 	}
 	t.n += weight
+	if t.n < weight {
+		t.splitAt = 0 // n wrapped, and the threshold fell with it
+	}
 	// Credit the node, promoting its counter to a wider pool class on
 	// overflow.
 	nv := t.addCount(vi, weight)
 
-	// Stage 4 of the pipeline: compare against the split threshold. split
-	// may grow the arena, so node pointers are dead after this point. The
-	// split's range start is derived from p — nodes do not store lo.
-	if plen := t.arena[vi].plen; float64(nv) > t.SplitThreshold() && int(plen) < t.cfg.UniverseBits {
-		t.split(vi, prefixOf(p, plen, t.cfg.UniverseBits))
+	// Stage 4 of the pipeline: compare against the split threshold. The
+	// float test runs only for a count above splitAt; when it does not
+	// split, its floor becomes the new bound, which holds from then on
+	// because the threshold never falls as n grows. split may grow the
+	// arena, so node pointers are dead after this point. The split's
+	// range start is derived from p — nodes do not store lo.
+	if plen := t.arena[vi].plen; nv > t.splitAt && int(plen) < t.cfg.UniverseBits {
+		if thr := t.SplitThreshold(); float64(nv) > thr {
+			t.split(vi, prefixOf(p, plen, t.cfg.UniverseBits))
+		} else {
+			t.splitAt = uint64(min(thr, 1<<63)) // ⌊thr⌋, capped in uint64 range
+		}
 	}
 
 	if t.n >= t.nextMerge {

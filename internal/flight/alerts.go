@@ -219,6 +219,10 @@ type Engine struct {
 
 	mu     sync.Mutex
 	alerts []*alert
+
+	// firing counts the alerts not ok. step moves it, under mu, whenever
+	// it stores a state on either side of ok, so AnyFiring is one load.
+	firing atomic.Int64
 }
 
 // NewEngine builds an engine over rec and subscribes it to rec's
@@ -364,6 +368,12 @@ func (e *Engine) step(a *alert, value float64, nowNano int64) {
 		return
 	}
 	a.state.Store(int64(desired))
+	switch {
+	case cur == StateOK:
+		e.firing.Add(1)
+	case desired == StateOK:
+		e.firing.Add(-1)
+	}
 	a.transitions.Add(1)
 	a.sinceNano.Store(nowNano)
 	a.reason = ""
@@ -420,19 +430,10 @@ func (e *Engine) Snapshot() []AlertStatus {
 	return out
 }
 
-// AnyFiring reports whether any alert is not ok. Unlike Firing it
-// allocates nothing — cheap enough for per-span force-sampling checks on
-// the ingest path.
-func (e *Engine) AnyFiring() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, a := range e.alerts {
-		if State(a.state.Load()) != StateOK {
-			return true
-		}
-	}
-	return false
-}
+// AnyFiring reports whether any alert is not ok. It takes no lock and
+// allocates nothing — one atomic load, cheap enough for the per-entry
+// force-sampling checks on the ingest path.
+func (e *Engine) AnyFiring() bool { return e.firing.Load() > 0 }
 
 // Firing returns the alerts not currently ok, worst first.
 func (e *Engine) Firing() []AlertStatus {

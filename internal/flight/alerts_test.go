@@ -2,7 +2,9 @@ package flight
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +63,74 @@ func TestThresholdLadder(t *testing.T) {
 	// ok→warn, warn→ok, ok→crit, crit→warn, warn→ok = 5 transitions.
 	if got := stateOf(t, e, "r").Transitions; got != 5 {
 		t.Errorf("transitions = %d, want 5", got)
+	}
+}
+
+// TestAnyFiringMatchesScan moves four rules through ok, warn and crit
+// with readers calling AnyFiring throughout, and after every evaluation
+// holds AnyFiring's counter to a scan of every alert's state. Run under
+// -race, it also checks the counter needs no lock against Eval.
+func TestAnyFiringMatchesScan(t *testing.T) {
+	var rules []Rule
+	for i := range 4 {
+		name := fmt.Sprintf("r%d", i)
+		rules = append(rules, Rule{Name: name, Kind: Threshold, Series: name, Warn: 10, Crit: 20, ClearRatio: 1})
+	}
+	e := newTestEngine(t, rules...)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					e.AnyFiring()
+				}
+			}
+		}()
+	}
+	levels := []float64{0, 15, 25, 5}
+	for i := range 200 {
+		values := make(map[string]float64)
+		for r := range rules {
+			values[rules[r].Name] = levels[(i/(r+1))%len(levels)]
+		}
+		e.Eval(frame(i, values))
+		scan := false
+		for _, a := range e.Snapshot() {
+			scan = scan || a.State != "ok"
+		}
+		if got := e.AnyFiring(); got != scan {
+			close(stop)
+			readers.Wait()
+			t.Fatalf("frame %d: AnyFiring = %v, a scan of the alerts says %v", i, got, scan)
+		}
+	}
+	close(stop)
+	readers.Wait()
+}
+
+// TestAnyFiringLockFree holds the engine lock and requires AnyFiring to
+// return: the ingest path's force-sampling check must never wait for an
+// evaluation in progress.
+func TestAnyFiringLockFree(t *testing.T) {
+	e := newTestEngine(t, Rule{Name: "r", Kind: Threshold, Series: "x", Crit: 10})
+	e.Eval(frame(0, map[string]float64{"x": 50}))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	done := make(chan bool)
+	go func() { done <- e.AnyFiring() }()
+	select {
+	case firing := <-done:
+		if !firing {
+			t.Fatal("AnyFiring = false with a crit alert")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AnyFiring blocked on the engine lock")
 	}
 }
 

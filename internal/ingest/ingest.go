@@ -88,7 +88,9 @@ type Options struct {
 	// ReadTimeout, when > 0, bounds how long one source read of up to
 	// BatchLen events may take before the source is declared stalled and
 	// reopened. The clock runs only while the source is read: time a read
-	// spends waiting for queue space under Block does not count.
+	// spends waiting for queue space under Block does not count. A
+	// one-shot source (ReaderSource), which could not be reopened, has no
+	// stall timer.
 	ReadTimeout time.Duration
 
 	// MaxRetries is how many consecutive failed attempts (open errors,
@@ -1022,9 +1024,9 @@ func (in *Ingestor) supervise(ctx context.Context, ss *sourceState) {
 // closed. Each read of up to BatchLen events lands in a buffer from the
 // source's free list, crosses to pump as one slice and becomes one queue
 // entry. The stall timer covers only the source: it restarts after each
-// handoff, so time blocked in enqueue is never taken for a stall. pump
-// reports whether any new events were handed off, and returns nil only on
-// clean EOF.
+// handoff, so time blocked in enqueue is never taken for a stall. A
+// one-shot source runs without it. pump reports whether any new events
+// were handed off, and returns nil only on clean EOF.
 func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source) (progressed bool, err error) {
 	reads := make(chan []trace.Event)
 	stop := make(chan struct{})
@@ -1048,7 +1050,7 @@ func (in *Ingestor) pump(ctx context.Context, ss *sourceState, src trace.Source)
 	skip := ss.consumed
 	var stallC <-chan time.Time
 	var stallT *time.Timer
-	if in.opts.ReadTimeout > 0 {
+	if in.opts.ReadTimeout > 0 && !ss.spec.oneShot {
 		stallT = time.NewTimer(in.opts.ReadTimeout)
 		defer stallT.Stop()
 		stallC = stallT.C

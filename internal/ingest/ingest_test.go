@@ -372,8 +372,9 @@ func TestIngestConcurrentQueries(t *testing.T) {
 // TestIngestBackpressureIsNotAStall wedges the shard long past
 // ReadTimeout while the reader holds a read it cannot queue. Waiting for
 // queue space under Block is backpressure, not a stalled source: a
-// one-shot stream that cannot reopen must finish with every event and no
-// retry.
+// stream that cannot reopen must finish with every event and no retry.
+// The pipe's spec keeps the stall timer that ReaderSource leaves off, so
+// a timer that ran during enqueue would fire here.
 func TestIngestBackpressureIsNotAStall(t *testing.T) {
 	const total = 4_000
 	var buf bytes.Buffer
@@ -394,7 +395,9 @@ func TestIngestBackpressureIsNotAStall(t *testing.T) {
 	opts.BatchLen = 16
 	opts.ReadTimeout = 20 * time.Millisecond
 	opts.MaxRetries = 1
-	in, err := Open(opts, []SourceSpec{ReaderSource("pipe", pr)})
+	spec := ReaderSource("pipe", pr)
+	spec.oneShot = false
+	in, err := Open(opts, []SourceSpec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +421,52 @@ func TestIngestBackpressureIsNotAStall(t *testing.T) {
 	}()
 	if err := in.Run(context.Background()); err != nil {
 		t.Fatalf("Run = %v: queue backpressure was taken for a stalled source", err)
+	}
+	st := in.Stats().Sources[0]
+	if st.Applied != total || st.Retries != 0 || st.Failed {
+		t.Fatalf("source stats %+v, want %d applied and no retries", st, total)
+	}
+}
+
+// TestOneShotSourceOutlivesAPause pauses a pipe's producer for three read
+// timeouts mid-stream. A one-shot stream cannot be reopened, so taking
+// the pause for a stall could only lose it: the source must wait, deliver
+// every event with no retry, and let Run return nil.
+func TestOneShotSourceOutlivesAPause(t *testing.T) {
+	const total = 4_000
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, v := range zipfVals(total, 22) {
+		if err := w.Write(trace.Event{Value: v, Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	pr, pw := io.Pipe()
+
+	opts := testOptions(1)
+	opts.ReadTimeout = 50 * time.Millisecond
+	opts.MaxRetries = 1
+	in, err := Open(opts, []SourceSpec{ReaderSource("pipe", pr)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		half := len(data) / 2
+		if _, err := pw.Write(data[:half]); err != nil {
+			return
+		}
+		time.Sleep(3 * opts.ReadTimeout)
+		if _, err := pw.Write(data[half:]); err != nil {
+			return
+		}
+		pw.Close()
+	}()
+	if err := in.Run(context.Background()); err != nil {
+		t.Fatalf("Run = %v: an idle one-shot producer was taken for a stalled source", err)
 	}
 	st := in.Stats().Sources[0]
 	if st.Applied != total || st.Retries != 0 || st.Failed {

@@ -18,6 +18,12 @@ import (
 type SourceSpec struct {
 	Name string
 	Open func() (trace.Source, error)
+
+	// oneShot marks a source that cannot be opened a second time. It runs
+	// without the ReadTimeout stall timer: abandoning a read that is only
+	// waiting for its producer would leave nothing to retry with. Only
+	// ReaderSource sets it.
+	oneShot bool
 }
 
 // fileSource pairs a trace.Reader with the file it reads so the
@@ -49,13 +55,15 @@ func FileSource(name, path string) SourceSpec {
 // the binary trace format. The stream can be opened exactly once; a
 // reopen attempt fails, so after a mid-stream error the source exhausts
 // its retries and is marked failed rather than silently restarting a
-// stream that cannot be rewound. Events between the last checkpoint and a
-// crash are lost (and that loss is visible as a position the stream can
-// no longer satisfy).
+// stream that cannot be rewound. An idle producer is not an error: the
+// source is one-shot, so it waits for input however long it pauses.
+// Events between the last checkpoint and a crash are lost (and that loss
+// is visible as a position the stream can no longer satisfy).
 func ReaderSource(name string, r io.Reader) SourceSpec {
 	var once sync.Once
 	return SourceSpec{
-		Name: name,
+		Name:    name,
+		oneShot: true,
 		Open: func() (trace.Source, error) {
 			var src trace.Source
 			once.Do(func() { src = trace.NewReader(r) })

@@ -2,11 +2,13 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
 	"rap/internal/faults"
 	"rap/internal/trace"
+	"rap/internal/workload"
 )
 
 // plainSource hides every method but Next, so trace.NextBatch must take
@@ -122,9 +124,33 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
+// referenceDecode decodes a whole in-memory trace one binary.Uvarint at
+// a time: the events, and whether the trace ends in an error rather than
+// a clean end between events.
+func referenceDecode(data []byte) (events []trace.Event, failed bool) {
+	if len(data) < 5 || string(data[:5]) != "RAPS\x01" {
+		return nil, true
+	}
+	for data = data[5:]; len(data) > 0; {
+		v, k := binary.Uvarint(data)
+		if k <= 0 {
+			return events, true
+		}
+		w, kw := binary.Uvarint(data[k:])
+		if kw <= 0 {
+			return events, true
+		}
+		events = append(events, trace.Event{Value: v, Weight: w})
+		data = data[k+kw:]
+	}
+	return events, false
+}
+
 // FuzzReaderNextBatch checks that batched decoding is exactly Next's: for
 // any bytes, read sizes and dst lengths, NextBatch yields the events Next
-// yields and ends with the same Err.
+// yields and ends with the same Err. Next itself is held to a reference
+// that decodes the whole input one binary.Uvarint at a time, however the
+// reads split it.
 func FuzzReaderNextBatch(f *testing.F) {
 	var valid bytes.Buffer
 	w := trace.NewWriter(&valid)
@@ -146,6 +172,16 @@ func FuzzReaderNextBatch(f *testing.F) {
 		}
 		ref := reader()
 		want := trace.Collect(ref)
+		refEvents, refFailed := referenceDecode(data)
+		if len(want) != len(refEvents) || (ref.Err() != nil) != refFailed {
+			t.Fatalf("Next decoded %d events (err %v), the reference %d (failed %v)",
+				len(want), ref.Err(), len(refEvents), refFailed)
+		}
+		for i := range want {
+			if want[i] != refEvents[i] {
+				t.Fatalf("event %d = %v, the reference decoded %v", i, want[i], refEvents[i])
+			}
+		}
 
 		sizes := []int{1}
 		if len(lens) > 0 {
@@ -169,4 +205,41 @@ func FuzzReaderNextBatch(f *testing.F) {
 			t.Fatalf("NextBatch ended with Err %v, Next with %v", rd.Err(), ref.Err())
 		}
 	})
+}
+
+// BenchmarkReaderNextBatch times decoding the way rapd's pump reads: an
+// in-memory trace of gzip load values (seed 1) drained through NextBatch
+// in 256-event reads. It reports ns/event beside the root TreeAdd rows.
+func BenchmarkReaderNextBatch(b *testing.B) {
+	const n = 1 << 20
+	bench, err := workload.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	src := bench.Values(1, n)
+	for range n {
+		e, _ := src.Next()
+		if err := w.Write(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	dst := make([]trace.Event, 256)
+	b.SetBytes(int64(len(data)))
+	for b.Loop() {
+		r := trace.NewReader(bytes.NewReader(data))
+		got := 0
+		for k := r.NextBatch(dst); k > 0; k = r.NextBatch(dst) {
+			got += k
+		}
+		if got != n || r.Err() != nil {
+			b.Fatalf("decoded %d of %d events, err %v", got, n, r.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Binary trace file format: the magic "RAPS", a version byte, then one
@@ -69,9 +70,14 @@ type Reader struct {
 	err    error
 }
 
+// readBufSize is the Reader's buffer: the default pipe capacity, so a
+// producer writing through a pipe can fill it in one read, and one refill
+// serves thousands of events.
+const readBufSize = 64 << 10
+
 // NewReader returns a trace reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: bufio.NewReaderSize(r, readBufSize)}
 }
 
 func (tr *Reader) open() error {
@@ -96,7 +102,9 @@ func (tr *Reader) open() error {
 	return nil
 }
 
-// Next implements Source.
+// Next implements Source. An event whose bytes are all buffered is
+// decoded in place; otherwise the slow path reads byte by byte, refilling
+// the buffer and reporting truncation and malformed varints.
 func (tr *Reader) Next() (Event, bool) {
 	if tr.err != nil {
 		return Event{}, false
@@ -104,6 +112,10 @@ func (tr *Reader) Next() (Event, bool) {
 	if err := tr.open(); err != nil {
 		tr.err = err
 		return Event{}, false
+	}
+	var one [1]Event
+	if tr.decodeBuffered(one[:]) == 1 {
+		return one[0], true
 	}
 	v, err := binary.ReadUvarint(tr.r)
 	if err != nil {
@@ -122,24 +134,30 @@ func (tr *Reader) Next() (Event, bool) {
 
 // NextBatch implements BatchSource. The first event goes through Next,
 // which reads the header, refills the buffer and reports errors; the rest
-// are the whole events already buffered, decoded in place. An incomplete
-// or malformed varint ends the batch untouched, so the next Next call
-// reads or reports it exactly as it would have without batching.
+// are the whole events already buffered, decoded in place.
 func (tr *Reader) NextBatch(dst []Event) int {
 	e, ok := tr.Next()
 	if !ok {
 		return 0
 	}
 	dst[0] = e
+	return 1 + tr.decodeBuffered(dst[1:])
+}
+
+// decodeBuffered decodes up to len(dst) whole events from the bytes
+// already buffered and consumes them. An incomplete or malformed varint
+// ends it untouched, so the slow path in Next reads or reports it exactly
+// as it would have without the fast path.
+func (tr *Reader) decodeBuffered(dst []Event) int {
 	// Peek and Discard stay within the buffered bytes, so neither fails.
 	buf, _ := tr.r.Peek(tr.r.Buffered())
-	n, off := 1, 0
+	n, off := 0, 0
 	for n < len(dst) {
-		v, k := binary.Uvarint(buf[off:])
+		v, k := uvarint(buf[off:])
 		if k <= 0 {
 			break
 		}
-		w, kw := binary.Uvarint(buf[off+k:])
+		w, kw := uvarint(buf[off+k:])
 		if kw <= 0 {
 			break
 		}
@@ -149,6 +167,34 @@ func (tr *Reader) NextBatch(dst []Event) int {
 	}
 	_, _ = tr.r.Discard(off)
 	return n
+}
+
+// uvarint is binary.Uvarint a word at a time. With 8 bytes at hand it
+// loads them as one little-endian word and finds the terminating byte
+// (the first whose continuation bit is clear) from the trailing zeros of
+// the inverted continuation bits; the bytes past it are masked off before
+// packing. A 9- or 10-byte varint, a window too short for the word, and
+// malformed input take binary.Uvarint, which returns what it always has
+// for them.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) >= 8 {
+		x := binary.LittleEndian.Uint64(b)
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			end := bits.TrailingZeros64(stop) // bit 7 of the last byte
+			return pack7(x & (^uint64(0) >> (63 - end))), end/8 + 1
+		}
+	}
+	return binary.Uvarint(b)
+}
+
+// pack7 joins the 7-bit groups of x's eight bytes, low byte first, into
+// 56 bits, dropping each byte's top bit, in three mask-and-shift steps:
+// pairs of bytes into 14-bit lanes, pairs of those into 28-bit lanes, and
+// the two halves into one.
+func pack7(x uint64) uint64 {
+	x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
+	x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
+	return x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
 }
 
 // Err returns the first decode error encountered, or nil on clean EOF.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -227,6 +228,45 @@ func TestReaderTruncationMidEventIsError(t *testing.T) {
 	if got := Collect(r); len(got) != 1 || r.Err() != nil {
 		t.Fatalf("full trace: %d events, err %v", len(got), r.Err())
 	}
+}
+
+// FuzzUvarint holds the word-at-a-time decoder to binary.Uvarint on
+// every window of up to 12 bytes of the input, so each varint is decoded
+// both with 8 or more bytes at hand and from every shorter window. The
+// corpus has the shortest and longest varint of each length from 1 to 10
+// bytes, alone and padded, a 10th byte that overflows, and an 11-byte
+// run of continuation bytes.
+func FuzzUvarint(f *testing.F) {
+	pad := bytes.Repeat([]byte{0x81}, 9)
+	for n := 1; n <= binary.MaxVarintLen64; n++ {
+		lo := uint64(1) << (7 * (n - 1))
+		hi := lo<<7 - 1
+		if n == 1 {
+			lo = 0
+		}
+		if n == binary.MaxVarintLen64 {
+			hi = ^uint64(0)
+		}
+		for _, x := range []uint64{lo, hi} {
+			enc := binary.AppendUvarint(nil, x)
+			f.Add(enc)
+			f.Add(append(enc, pad...))
+		}
+	}
+	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x02, 0x00))
+	f.Add(bytes.Repeat([]byte{0x80}, 11))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i := range data {
+			for j := i; j <= min(len(data), i+12); j++ {
+				win := data[i:j]
+				v, k := uvarint(win)
+				wv, wk := binary.Uvarint(win)
+				if v != wv || k != wk {
+					t.Fatalf("uvarint(% x) = (%d, %d), binary.Uvarint = (%d, %d)", win, v, k, wv, wk)
+				}
+			}
+		}
+	})
 }
 
 func TestTextRoundTrip(t *testing.T) {
