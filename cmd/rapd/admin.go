@@ -113,7 +113,7 @@ func (a *admin) handler() http.Handler {
 		resp := struct {
 			audit.Report
 			EpochSeq uint64 `json:"epoch_seq"`
-		}{Report: rep, EpochSeq: a.epochSeq()}
+		}{Report: rep, EpochSeq: a.in.Engine().Publisher().Seq()}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -283,15 +283,6 @@ func (a *admin) ready(now time.Time) (bool, string) {
 	return true, ""
 }
 
-// epochSeq reports the engine's current published epoch sequence, 0 when
-// the epoch read path is disabled.
-func (a *admin) epochSeq() uint64 {
-	if pub := a.in.Engine().Publisher(); pub != nil {
-		return pub.Seq()
-	}
-	return 0
-}
-
 // facts are the host rows on /statusz: the engine-level answers an
 // operator checks first.
 func (a *admin) facts() []flight.Fact {
@@ -301,15 +292,13 @@ func (a *admin) facts() []flight.Fact {
 		{Key: "nodes", Value: fmt.Sprintf("%d", st.Nodes)},
 		{Key: "dropped", Value: fmt.Sprintf("%d", st.Dropped)},
 	}
-	if pub := a.in.Engine().Publisher(); pub != nil {
-		out = append(out, flight.Fact{Key: "epoch seq", Value: fmt.Sprintf("%d", pub.Seq())})
-		if e := pub.Current(); e != nil {
-			out = append(out, flight.Fact{
-				Key:   "epoch age",
-				Value: time.Since(e.PublishedAt()).Round(time.Millisecond).String(),
-			})
-		}
-	}
+	// Enabling read snapshots publishes the first epoch, so Current is
+	// never nil here.
+	pub := a.in.Engine().Publisher()
+	out = append(out,
+		flight.Fact{Key: "epoch seq", Value: fmt.Sprintf("%d", pub.Seq())},
+		flight.Fact{Key: "epoch age", Value: time.Since(pub.Current().PublishedAt()).Round(time.Millisecond).String()},
+	)
 	if adm := a.in.Admission(); adm != nil {
 		ws := adm.WatchdogState()
 		out = append(out,

@@ -107,9 +107,7 @@ type cliConfig struct {
 	auditSpanBits int           // minimum audited range width, in bits
 	auditSample   uint64        // adoption gate: 1 in N hash values
 
-	readSnapshots    bool          // epoch-published lock-free read path
-	snapshotEvery    uint64        // offered events between epoch publishes
-	snapshotMaxStale time.Duration // wall-clock bound on epoch staleness
+	snapshotEvery uint64 // offered events between epoch publishes
 
 	admit          bool   // run the randomized admission frontend
 	admitPeriod    uint64 // base coin period at Normal
@@ -167,9 +165,7 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.IntVar(&c.auditRanges, "audit-ranges", audit.DefaultMaxRanges, "maximum sampled ranges audited at once")
 	fs.IntVar(&c.auditSpanBits, "audit-span-bits", audit.DefaultSpanBits, "minimum audited range width, in bits")
 	fs.Uint64Var(&c.auditSample, "audit-sample", audit.DefaultSamplePeriod, "range adoption gate: 1 in N of the hash space seeds a new audited range")
-	fs.BoolVar(&c.readSnapshots, "read-snapshots", true, "publish epoch read snapshots so queries (including /v1) answer lock-free from an immutable cut")
 	fs.Uint64Var(&c.snapshotEvery, "snapshot-every", 0, "offered events between epoch publishes (0: default 65536)")
-	fs.DurationVar(&c.snapshotMaxStale, "snapshot-max-stale", time.Second, "bound on wall-clock epoch staleness for slow or idle streams")
 	fs.BoolVar(&c.admit, "admit", false, "run the randomized admission frontend (cold points pay a coin toll; refused mass is ledgered into bounds)")
 	fs.Uint64Var(&c.admitPeriod, "admit-period", 8, "admission coin period at Normal (cold point passes with probability 1/period)")
 	fs.Uint64Var(&c.admitArenaSoft, "admit-arena-soft", 8<<20, "watchdog arena bytes that escalate admission to Defensive")
@@ -216,16 +212,6 @@ func (c cliConfig) validate() error {
 			}
 		}
 	}
-	if !c.readSnapshots {
-		for _, name := range []string{"snapshot-every", "snapshot-max-stale"} {
-			if c.setFlags[name] {
-				return fmt.Errorf("-%s requires -read-snapshots", name)
-			}
-		}
-	}
-	if c.setFlags["snapshot-max-stale"] && c.snapshotMaxStale <= 0 {
-		return fmt.Errorf("-snapshot-max-stale %v: bound must be positive", c.snapshotMaxStale)
-	}
 	if c.admin == "" {
 		for _, name := range []string{"flight-every", "flight-depth", "dump-bundle",
 			"span-sample", "span-cap", "slow-op"} {
@@ -270,6 +256,8 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 	cfg.Epsilon = c.epsilon
 	cfg.UniverseBits = c.universe
 	cfg.Branch = c.branch
+	// Queries, /v1 included, always answer lock-free from a published
+	// epoch, never by locking every shard to merge a fresh cut.
 	opts := ingest.Options{
 		Tree:            cfg,
 		Shards:          c.shards,
@@ -279,6 +267,8 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 		MaxRetries:      c.maxRetries,
 		CheckpointDir:   c.checkpointDir,
 		CheckpointEvery: c.checkpointEvery,
+		ReadSnapshots:   true,
+		SnapshotEvery:   c.snapshotEvery,
 		Logger:          logger,
 	}
 	switch c.drop {
@@ -298,9 +288,6 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 		}
 		opts.AuditEvery = c.auditEvery
 	}
-	opts.ReadSnapshots = c.readSnapshots
-	opts.SnapshotEvery = c.snapshotEvery
-	opts.SnapshotMaxStale = c.snapshotMaxStale
 	if c.admit {
 		opts.Admission = &admit.Options{
 			BasePeriod:     c.admitPeriod,
@@ -549,11 +536,7 @@ func (c cliConfig) effective() map[string]any {
 		"flight_depth":     c.flightDepth,
 		"audit":            c.audit,
 		"admit":            c.admit,
-		"read_snapshots":   c.readSnapshots,
-	}
-	if c.readSnapshots {
-		eff["snapshot_every"] = c.snapshotEvery
-		eff["snapshot_max_stale"] = c.snapshotMaxStale.String()
+		"snapshot_every":   c.snapshotEvery,
 	}
 	if c.bench != "" {
 		eff["bench"], eff["kind"], eff["gen_n"], eff["seed"] = c.bench, c.kind, c.genN, c.seed

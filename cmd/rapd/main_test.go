@@ -60,6 +60,31 @@ func TestOptionsRejectsBadDropPolicy(t *testing.T) {
 	}
 }
 
+// TestOptionsReadFromEpochs: a config that sets nothing about read
+// snapshots still runs the epoch read path, so /v1 answers from a
+// published epoch instead of locking every shard to merge a cut.
+func TestOptionsReadFromEpochs(t *testing.T) {
+	c := cliConfig{stdin: true, shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4}
+	opts, err := c.options(discardLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !opts.ReadSnapshots {
+		t.Fatal("options leave ReadSnapshots off")
+	}
+	specs, err := c.specs(strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ingest.Open(opts, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Engine().Publisher() == nil {
+		t.Fatal("ingestor's engine has no epoch publisher")
+	}
+}
+
 func TestSpecsRequireASource(t *testing.T) {
 	c := cliConfig{drop: "block"}
 	if _, err := c.specs(nil); err == nil {

@@ -31,8 +31,7 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	c := cliConfig{
 		traces: []string{path},
 		shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
-		readTimeout: 5 * time.Second, maxRetries: 2,
-		readSnapshots: true, snapshotEvery: 1024, snapshotMaxStale: time.Second,
+		readTimeout: 5 * time.Second, maxRetries: 2, snapshotEvery: 1024,
 		audit: true, auditEvery: time.Hour,
 		auditRanges: 16, auditSpanBits: 8, auditSample: 16,
 	}
@@ -86,7 +85,7 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 		t.Fatalf("/v1/estimate not JSON: %v\n%s", err, body)
 	}
 	if est.Epoch.Seq == 0 {
-		t.Fatalf("epoch seq 0 with -read-snapshots on:\n%s", body)
+		t.Fatalf("epoch seq 0 from the epoch read path:\n%s", body)
 	}
 	if est.Low > est.High || est.Estimate > est.High {
 		t.Fatalf("bracket inverted: estimate=%d low=%d high=%d", est.Estimate, est.Low, est.High)
@@ -229,61 +228,5 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	}
 	if sc.samples["rap_epoch_pinned_readers"] != 0 {
 		t.Fatalf("pinned readers leaked: %v", sc.samples["rap_epoch_pinned_readers"])
-	}
-}
-
-// TestQueryAPIWithoutSnapshots: /v1 still answers when -read-snapshots
-// is off, via a one-off detached cut with seq 0.
-func TestQueryAPIWithoutSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	vals := make([]uint64, 5_000)
-	for i := range vals {
-		vals[i] = uint64(i % 512)
-	}
-	path := filepath.Join(dir, "events.trace")
-	writeTrace(t, path, vals)
-
-	c := cliConfig{
-		traces: []string{path},
-		shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
-		readTimeout: 5 * time.Second, maxRetries: 2,
-	}
-	opts, err := c.options(discardLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := c.specs(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := ingest.Open(opts, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &admin{in: in, reg: obs.NewRegistry(), start: time.Now()}
-	addr, stop, err := serveAdmin("127.0.0.1:0", a, discardLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	if err := in.Run(context.Background()); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	code, body, hdr := get(t, "http://"+addr+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("/v1/stats = %d: %s", code, body)
-	}
-	if hdr.Get("X-RAP-Epoch-Seq") != "0" {
-		t.Fatalf("detached answer should carry seq 0, got %q", hdr.Get("X-RAP-Epoch-Seq"))
-	}
-	var st struct {
-		N uint64 `json:"n"`
-	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.N != uint64(len(vals)) {
-		t.Fatalf("/v1/stats n = %d, want %d", st.N, len(vals))
 	}
 }

@@ -113,8 +113,7 @@ func TestSpanTracingEndToEnd(t *testing.T) {
 	c := cliConfig{
 		traces: []string{path},
 		shards: 2, queue: 1 << 15, batch: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
-		readTimeout: 5 * time.Second, maxRetries: 2,
-		readSnapshots: true, snapshotEvery: 4096, snapshotMaxStale: time.Second,
+		readTimeout: 5 * time.Second, maxRetries: 2, snapshotEvery: 4096,
 		checkpointDir: filepath.Join(dir, "ck"), checkpointEvery: time.Hour,
 	}
 	opts, err := c.options(discardLogger())

@@ -21,7 +21,7 @@ func writeTestBundle(t *testing.T) string {
 	g := reg.Gauge("g", "test gauge")
 	rec := flight.NewRecorder(reg, flight.Options{Every: time.Second, Depth: 64})
 	eng := flight.NewEngine(rec, flight.Rule{
-		Name: "g_high", Series: "g", Cmp: flight.Above, Warn: 10,
+		Name: "g_high", Series: "g", Warn: 10,
 	})
 	now := time.Now()
 	for i := 0; i < 5; i++ {

@@ -85,17 +85,6 @@ type Options struct {
 	// to a power of two. Default 8192.
 	MaxPeriod uint64
 
-	// WarmBits sizes the admission sketch: one saturating byte per
-	// WarmBits-bit b-adic prefix of the universe (clamped to the universe
-	// width). Default 14 (a 16 KiB sketch per shard).
-	WarmBits int
-	// WarmThreshold is the sketch count at which a prefix is considered
-	// warm and its traffic bypasses the coin. Default 4.
-	WarmThreshold uint8
-	// DecayEvery halves the sketch every DecayEvery events seen by a gate,
-	// so warmth earned long ago expires. Default 1<<20.
-	DecayEvery uint64
-
 	// EvalEvery is how many events a gate sees between watchdog
 	// evaluations it triggers. Default 8192.
 	EvalEvery uint64
@@ -113,39 +102,6 @@ type Options struct {
 	// to Defensive, hard to Siege. Defaults 8 MiB and 32 MiB.
 	ArenaSoftBytes int64
 	ArenaHardBytes int64
-	// ChurnSoft and ChurnHard are the watchdog's churn thresholds in
-	// split operations plus merge passes per 1000 ADMITTED weight (merge
-	// passes, not folded nodes — batches fold many nodes at one instant
-	// by design, which would spike a per-node signal on benign streams). Admitted, not
-	// offered, keeps the signal control-invariant: refusing more cold mass
-	// must not flatter the rate, or the watchdog settles into a limit
-	// cycle (escalate, look calm because the denominator includes the
-	// refused flood, de-escalate, flood again). Per admitted weight the
-	// rate only falls when the stream itself turns benign. Defaults 25
-	// and 100.
-	ChurnSoft float64
-	ChurnHard float64
-	// DeescalateRatio scales the escalation thresholds down for the calm
-	// test: to leave a level, signals must sit below ratio x the
-	// thresholds that entered it. Default 0.5.
-	DeescalateRatio float64
-	// ColdCalmFrac is the de-escalation gate on stream composition: a
-	// window only counts as calm if less than this fraction of its offered
-	// weight was cold (missed the warm-prefix/leaf bypass). A persistent
-	// never-repeating flood keeps the cold fraction near 1 regardless of
-	// the admission period — churn and arena go quiet at Siege precisely
-	// because the gate is refusing the flood, and de-escalating on those
-	// signals alone just re-admits it (a limit cycle). Cold fraction is
-	// the control-invariant attack signature. Benign phase shifts push it
-	// up only until the new hot regions warm. Default 0.5.
-	ColdCalmFrac float64
-	// ColdSiegeFrac is the composition escalation threshold: a decision
-	// window (past ColdGraceN) whose cold fraction is at least this goes
-	// straight to Siege without waiting for churn or arena damage — a
-	// stream that is mostly never-seen-before mass after the sketch has
-	// had time to warm is a cardinality attack by definition. Default
-	// 0.75.
-	ColdSiegeFrac float64
 	// ColdGraceN arms the composition signals once this much weight has
 	// been offered. It is much shorter than StartupGraceN because warmth
 	// is observable almost immediately — a benign stream's hot prefixes
@@ -180,15 +136,6 @@ func (o Options) withDefaults() Options {
 	if siege := o.BasePeriod << siegeShift; o.MaxPeriod < siege {
 		o.MaxPeriod = siege
 	}
-	if o.WarmBits == 0 {
-		o.WarmBits = 14
-	}
-	if o.WarmThreshold == 0 {
-		o.WarmThreshold = 4
-	}
-	if o.DecayEvery == 0 {
-		o.DecayEvery = 1 << 20
-	}
 	if o.EvalEvery == 0 {
 		o.EvalEvery = 8192
 	}
@@ -204,23 +151,8 @@ func (o Options) withDefaults() Options {
 	if o.ArenaHardBytes == 0 {
 		o.ArenaHardBytes = 32 << 20
 	}
-	if o.ChurnSoft == 0 {
-		o.ChurnSoft = 25
-	}
-	if o.ChurnHard == 0 {
-		o.ChurnHard = 100
-	}
-	if o.ColdCalmFrac == 0 {
-		o.ColdCalmFrac = 0.5
-	}
-	if o.ColdSiegeFrac == 0 {
-		o.ColdSiegeFrac = 0.75
-	}
 	if o.ColdGraceN == 0 {
 		o.ColdGraceN = 1 << 14
-	}
-	if o.DeescalateRatio == 0 {
-		o.DeescalateRatio = 0.5
 	}
 	if o.CalmStreak == 0 {
 		o.CalmStreak = 3
@@ -241,6 +173,55 @@ var debugWindow func(offered, admDelta, churnDelta uint64, rate, coldFrac float6
 const (
 	defensiveShift = 3 // Defensive period = BasePeriod * 8
 	siegeShift     = 6 // Siege period = BasePeriod * 64 (before doubling)
+)
+
+// The admission sketch.
+const (
+	// warmBits sizes the admission sketch: one saturating byte per
+	// warmBits-bit b-adic prefix of the universe (clamped to the universe
+	// width), a 16 KiB sketch per shard.
+	warmBits = 14
+	// warmThreshold is the sketch count at which a prefix is considered
+	// warm and its traffic bypasses the coin.
+	warmThreshold = 4
+	// decayEvery halves the sketch every decayEvery events seen by a gate,
+	// so warmth earned long ago expires.
+	decayEvery = 1 << 20
+)
+
+// The watchdog's thresholds.
+const (
+	// churnSoft and churnHard are the watchdog's churn thresholds in
+	// split operations plus merge passes per 1000 ADMITTED weight (merge
+	// passes, not folded nodes — batches fold many nodes at one instant
+	// by design, which would spike a per-node signal on benign streams).
+	// Admitted, not offered, keeps the signal control-invariant: refusing
+	// more cold mass must not flatter the rate, or the watchdog settles
+	// into a limit cycle (escalate, look calm because the denominator
+	// includes the refused flood, de-escalate, flood again). Per admitted
+	// weight the rate only falls when the stream itself turns benign.
+	churnSoft = 25
+	churnHard = 100
+	// deescalateRatio scales the escalation thresholds down for the calm
+	// test: to leave a level, signals must sit below ratio x the
+	// thresholds that entered it.
+	deescalateRatio = 0.5
+	// coldCalmFrac is the de-escalation gate on stream composition: a
+	// window only counts as calm if less than this fraction of its offered
+	// weight was cold (missed the warm-prefix/leaf bypass). A persistent
+	// never-repeating flood keeps the cold fraction near 1 regardless of
+	// the admission period — churn and arena go quiet at Siege precisely
+	// because the gate is refusing the flood, and de-escalating on those
+	// signals alone just re-admits it (a limit cycle). Cold fraction is
+	// the control-invariant attack signature. Benign phase shifts push it
+	// up only until the new hot regions warm.
+	coldCalmFrac = 0.5
+	// coldSiegeFrac is the composition escalation threshold: a decision
+	// window (past ColdGraceN) whose cold fraction is at least this goes
+	// straight to Siege without waiting for churn or arena damage — a
+	// stream that is mostly never-seen-before mass after the sketch has
+	// had time to warm is a cardinality attack by definition.
+	coldSiegeFrac = 0.75
 )
 
 func ceilPow2(x uint64) uint64 {
@@ -330,17 +311,14 @@ func (f *Frontend) Gates(universeBits, n int) []*Gate {
 	if f.gates != nil || n <= 0 || universeBits <= 0 || universeBits > 64 {
 		return nil
 	}
-	warmBits := f.opts.WarmBits
-	if warmBits > universeBits {
-		warmBits = universeBits
-	}
+	prefixBits := min(warmBits, universeBits)
 	gates := make([]*Gate, n)
 	for i := range gates {
 		gates[i] = &Gate{
 			f:            f,
 			universeBits: universeBits,
-			shift:        uint(universeBits - warmBits),
-			warm:         make([]uint8, 1<<warmBits),
+			shift:        uint(universeBits - prefixBits),
+			warm:         make([]uint8, 1<<prefixBits),
 			rng:          newGateRNG(f.opts.Seed, uint64(i)),
 		}
 	}
@@ -389,7 +367,7 @@ func (f *Frontend) tryEvaluate() {
 // evaluateLocked is the degradation state machine. Escalation is
 // immediate and jumps straight to the level the signals demand;
 // de-escalation steps one level at a time and only after CalmStreak
-// consecutive windows below DeescalateRatio x the entry thresholds
+// consecutive windows below deescalateRatio x the entry thresholds
 // (hysteresis, so a flood that pulses cannot make the frontend thrash).
 // force causes a decision even before a full offered window has
 // accumulated (the Observe path, so calm is noticed on an idle stream).
@@ -450,9 +428,9 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 
 	churnTarget := Normal
 	switch {
-	case rate >= f.opts.ChurnHard:
+	case rate >= churnHard:
 		churnTarget = Siege
-	case rate >= f.opts.ChurnSoft:
+	case rate >= churnSoft:
 		churnTarget = Defensive
 	}
 	// A window containing a geometric merge pass is structurally noisy by
@@ -476,7 +454,7 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 	}
 	target := churnTarget
 	switch {
-	case arena >= f.opts.ArenaHardBytes || coldFrac >= f.opts.ColdSiegeFrac:
+	case arena >= f.opts.ArenaHardBytes || coldFrac >= coldSiegeFrac:
 		target = Siege
 	case arena >= f.opts.ArenaSoftBytes:
 		if target < Defensive {
@@ -494,17 +472,16 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 		f.cooldown = true
 		f.setLevelLocked(target, arena, rate, offeredTotal)
 	case target < cur:
-		ratio := f.opts.DeescalateRatio
 		var calm bool
 		if cur == Siege {
-			calm = arena < int64(ratio*float64(f.opts.ArenaHardBytes)) && rate < ratio*f.opts.ChurnHard
+			calm = arena < int64(deescalateRatio*float64(f.opts.ArenaHardBytes)) && rate < deescalateRatio*churnHard
 		} else {
-			calm = arena < int64(ratio*float64(f.opts.ArenaSoftBytes)) && rate < ratio*f.opts.ChurnSoft
+			calm = arena < int64(deescalateRatio*float64(f.opts.ArenaSoftBytes)) && rate < deescalateRatio*churnSoft
 		}
 		// Composition gate: quiet churn at a high level means the gate is
 		// working, not that the attack stopped. Only a window whose offered
 		// mass is mostly warm again is evidence the stream turned benign.
-		if offDelta > 0 && float64(coldDelta) >= f.opts.ColdCalmFrac*float64(offDelta) {
+		if offDelta > 0 && float64(coldDelta) >= coldCalmFrac*float64(offDelta) {
 			calm = false
 		}
 		if !calm {

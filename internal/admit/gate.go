@@ -57,7 +57,7 @@ func (g *Gate) Admit(p uint64, weight uint64, plen int) bool {
 	// An existing exact leaf cannot gain structure from this event, and a
 	// warm prefix has proven it deserves refinement: both pass, and both
 	// keep the prefix warm against decay.
-	if plen >= g.universeBits || w >= g.f.opts.WarmThreshold {
+	if plen >= g.universeBits || w >= warmThreshold {
 		if w < 255 {
 			g.warm[idx] = w + 1
 		}
@@ -66,7 +66,7 @@ func (g *Gate) Admit(p uint64, weight uint64, plen int) bool {
 	}
 	// Cold point: geometric coin at the current period. A winner warms its
 	// prefix one step — a genuinely hot new region wins repeatedly and
-	// crosses WarmThreshold; flood prefixes, each hit rarely, never do.
+	// crosses warmThreshold; flood prefixes, each hit rarely, never do.
 	g.cold.Add(weight)
 	period := g.f.period.Load()
 	if period <= 1 || g.rng.Uint64()&(period-1) == 0 {
@@ -95,7 +95,7 @@ func (g *Gate) tick() {
 		g.f.tryEvaluate()
 	}
 	g.decayTicks++
-	if g.decayTicks >= g.f.opts.DecayEvery {
+	if g.decayTicks >= decayEvery {
 		g.decayTicks = 0
 		g.halveWarm()
 	}

@@ -86,8 +86,11 @@ const (
 	DefaultMaxRanges    = 32
 	DefaultSpanBits     = 12
 	DefaultSamplePeriod = 8192
-	DefaultNearRatio    = 0.9
 )
+
+// DefaultNearRatio is the underestimate/(ε·n) ratio at or above which a
+// range is reported as near-bound (and traced) without violating.
+const DefaultNearRatio = 0.9
 
 // Options configures an Auditor. The zero value selects all defaults.
 type Options struct {
@@ -101,9 +104,6 @@ type Options struct {
 	// SamplePeriod is the adoption gate: one in SamplePeriod of the hash
 	// space seeds a new audited range. Rounded up to a power of two.
 	SamplePeriod uint64
-	// NearRatio is the underestimate/(ε·n) ratio at or above which a
-	// range is reported as near-bound (and traced) without violating.
-	NearRatio float64
 	// Seed perturbs the adoption hash so restarted deployments audit
 	// different ranges.
 	Seed uint64
@@ -121,9 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SamplePeriod&(o.SamplePeriod-1) != 0 {
 		o.SamplePeriod = 1 << bits.Len64(o.SamplePeriod)
-	}
-	if o.NearRatio <= 0 {
-		o.NearRatio = DefaultNearRatio
 	}
 	return o
 }

@@ -28,7 +28,7 @@ func testOptions() Options {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxRanges != DefaultMaxRanges || o.SpanBits != DefaultSpanBits ||
-		o.SamplePeriod != DefaultSamplePeriod || o.NearRatio != DefaultNearRatio {
+		o.SamplePeriod != DefaultSamplePeriod {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 	if o := (Options{SamplePeriod: 1000}).withDefaults(); o.SamplePeriod != 1024 {

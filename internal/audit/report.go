@@ -367,7 +367,7 @@ func (a *Auditor) check(r *RangeReport, n uint64, epsN, budget float64) {
 		r.Violation = true
 		r.Reason = "underestimate exceeds certified budget"
 	}
-	if a.tracer == nil || (!r.Violation && r.Ratio < a.opts.NearRatio) {
+	if a.tracer == nil || (!r.Violation && r.Ratio < DefaultNearRatio) {
 		return
 	}
 	attrs := []span.Attr{

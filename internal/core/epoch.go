@@ -116,12 +116,11 @@ func (e *Epoch) maybeRetire() {
 // Publish must be externally serialized (the sharded engine calls it
 // under its publish mutex); everything else is safe from any goroutine.
 type EpochPublisher struct {
-	cur       atomic.Pointer[Epoch]
-	seq       atomic.Uint64
-	published atomic.Uint64
-	retired   atomic.Uint64
-	pinned    atomic.Int64
-	lastPub   atomic.Int64 // unix nanoseconds of the last publish
+	cur     atomic.Pointer[Epoch]
+	seq     atomic.Uint64
+	retired atomic.Uint64
+	pinned  atomic.Int64
+	lastPub atomic.Int64 // unix nanoseconds of the last publish
 }
 
 // NewEpochPublisher returns an empty publisher; Current returns nil
@@ -140,7 +139,6 @@ func (p *EpochPublisher) Publish(t *Tree) *Epoch {
 		pub:         p,
 	}
 	old := p.cur.Swap(e)
-	p.published.Add(1)
 	p.lastPub.Store(e.publishedAt)
 	if old != nil {
 		old.superseded.Store(true)
@@ -181,8 +179,9 @@ func (p *EpochPublisher) Acquire() *Epoch {
 // Seq is the sequence number of the most recently published epoch.
 func (p *EpochPublisher) Seq() uint64 { return p.seq.Load() }
 
-// Published is the total number of epochs published.
-func (p *EpochPublisher) Published() uint64 { return p.published.Load() }
+// Published is the total number of epochs published. Epochs are numbered
+// from 1 in publish order, so it is Seq.
+func (p *EpochPublisher) Published() uint64 { return p.seq.Load() }
 
 // Retired is the total number of superseded epochs whose reader count
 // drained.

@@ -56,33 +56,22 @@ func (k RuleKind) String() string {
 	}
 }
 
-// Cmp is the comparison direction: Above fires when the value rises past
-// a threshold, Below when it falls under one.
-type Cmp int
-
-const (
-	Above Cmp = iota
-	Below
-)
-
 // Agg folds multiple matching series (e.g. per-shard labels) into the one
 // value the thresholds compare against.
 type Agg int
 
 const (
 	AggMax Agg = iota
-	AggMin
 	AggSum
 )
 
 // Rule is one alert rule. Series (and Denom, for ratios) select recorded
 // series the way /vars does: by full key or by family name across all
-// label sets. A zero Warn or Crit disables that level. ClearRatio sets
-// the hysteresis band: once fired at a level, the alert only clears when
-// the value retreats past threshold×ClearRatio (Above) or
-// threshold/ClearRatio (Below), so a value dithering on the line does not
-// flap. For delays every transition — in both directions — until the new
-// state has held that long.
+// label sets. A level fires when the value rises to its threshold; a zero
+// Warn or Crit disables that level. ClearRatio sets the hysteresis band:
+// once fired at a level, the alert only clears when the value falls below
+// threshold×ClearRatio, so a value dithering on the line does not flap.
+// Transitions commit on the scrape that calls for them.
 type Rule struct {
 	Name       string
 	Help       string
@@ -90,16 +79,14 @@ type Rule struct {
 	Series     string
 	Denom      string
 	Agg        Agg
-	Cmp        Cmp
 	Warn       float64
 	Crit       float64
 	RateWindow time.Duration
-	For        time.Duration
 	ClearRatio float64
 }
 
 // MarshalJSON renders the rule for /alerts and bundles. Disabled levels
-// normalise to ±Inf, which encoding/json rejects — jsonValue strings
+// normalise to +Inf, which encoding/json rejects — jsonValue strings
 // them instead.
 func (ru Rule) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
@@ -110,12 +97,10 @@ func (ru Rule) MarshalJSON() ([]byte, error) {
 		Denom      string    `json:"denom,omitempty"`
 		Warn       jsonValue `json:"warn"`
 		Crit       jsonValue `json:"crit"`
-		For        string    `json:"for,omitempty"`
 		RateWindow string    `json:"rate_window,omitempty"`
 	}{
 		ru.Name, ru.Help, ru.Kind.String(), ru.Series, ru.Denom,
-		jsonValue(ru.Warn), jsonValue(ru.Crit),
-		durString(ru.For), durString(ru.RateWindow),
+		jsonValue(ru.Warn), jsonValue(ru.Crit), durString(ru.RateWindow),
 	})
 }
 
@@ -137,7 +122,6 @@ func (ru *Rule) UnmarshalJSON(b []byte) error {
 		Denom      string    `json:"denom"`
 		Warn       jsonValue `json:"warn"`
 		Crit       jsonValue `json:"crit"`
-		For        string    `json:"for"`
 		RateWindow string    `json:"rate_window"`
 	}
 	if err := json.Unmarshal(b, &w); err != nil {
@@ -153,9 +137,6 @@ func (ru *Rule) UnmarshalJSON(b []byte) error {
 	case "ratio":
 		ru.Kind = Ratio
 	}
-	if w.For != "" {
-		ru.For, _ = time.ParseDuration(w.For)
-	}
 	if w.RateWindow != "" {
 		ru.RateWindow, _ = time.ParseDuration(w.RateWindow)
 	}
@@ -169,15 +150,11 @@ func (ru Rule) withDefaults() Rule {
 	if ru.RateWindow <= 0 {
 		ru.RateWindow = 30 * time.Second
 	}
-	disabled := math.Inf(1)
-	if ru.Cmp == Below {
-		disabled = math.Inf(-1)
-	}
 	if ru.Warn == 0 {
-		ru.Warn = disabled
+		ru.Warn = math.Inf(1)
 	}
 	if ru.Crit == 0 {
-		ru.Crit = disabled
+		ru.Crit = math.Inf(1)
 	}
 	return ru
 }
@@ -194,10 +171,7 @@ type alert struct {
 	sinceNano   atomic.Int64
 	valueBits   atomic.Uint64
 
-	// Engine-lock state for the for-duration machinery.
-	pending      State
-	pendingSince int64
-	reason       string
+	reason string // guarded by the engine lock
 }
 
 // AlertStatus is one alert's externally visible state, the /alerts and
@@ -334,12 +308,9 @@ func fold(agg Agg, vals []float64) (float64, bool) {
 	}
 	out := vals[0]
 	for _, v := range vals[1:] {
-		switch agg {
-		case AggMin:
-			out = math.Min(out, v)
-		case AggSum:
+		if agg == AggSum {
 			out += v
-		default:
+		} else {
 			out = math.Max(out, v)
 		}
 	}
@@ -350,21 +321,12 @@ func fold(agg Agg, vals []float64) (float64, bool) {
 }
 
 // step runs one alert's state machine: hysteresis decides the desired
-// state, For delays the commit. Called under e.mu.
+// state, and a change commits at once. Called under e.mu.
 func (e *Engine) step(a *alert, value float64, nowNano int64) {
 	cur := State(a.state.Load())
 	desired := desiredState(a.rule, cur, value)
+	a.reason = ""
 	if desired == cur {
-		a.pending = cur
-		a.reason = ""
-		return
-	}
-	if a.pending != desired {
-		a.pending = desired
-		a.pendingSince = nowNano
-	}
-	if nowNano-a.pendingSince < int64(a.rule.For) {
-		a.reason = "pending " + desired.String()
 		return
 	}
 	a.state.Store(int64(desired))
@@ -376,15 +338,14 @@ func (e *Engine) step(a *alert, value float64, nowNano int64) {
 	}
 	a.transitions.Add(1)
 	a.sinceNano.Store(nowNano)
-	a.reason = ""
 }
 
 // desiredState applies thresholds with hysteresis: a level that has fired
 // stays lit until the value retreats past the clear band, so dithering on
 // the threshold does not flap the alert.
 func desiredState(ru Rule, cur State, value float64) State {
-	critOn := levelOn(ru.Cmp, value, ru.Crit, ru.ClearRatio, cur >= StateCrit)
-	warnOn := levelOn(ru.Cmp, value, ru.Warn, ru.ClearRatio, cur >= StateWarn)
+	critOn := levelOn(value, ru.Crit, ru.ClearRatio, cur >= StateCrit)
+	warnOn := levelOn(value, ru.Warn, ru.ClearRatio, cur >= StateWarn)
 	switch {
 	case critOn:
 		return StateCrit
@@ -395,20 +356,14 @@ func desiredState(ru Rule, cur State, value float64) State {
 	}
 }
 
-func levelOn(cmp Cmp, value, threshold, clearRatio float64, lit bool) bool {
+func levelOn(value, threshold, clearRatio float64, lit bool) bool {
 	if math.IsInf(threshold, 0) {
 		return false
 	}
-	if cmp == Above {
-		if lit {
-			threshold *= clearRatio
-		}
-		return value >= threshold
-	}
 	if lit {
-		threshold /= clearRatio
+		threshold *= clearRatio
 	}
-	return value <= threshold
+	return value >= threshold
 }
 
 // Snapshot returns every alert's current status, sorted by rule name.

@@ -134,41 +134,6 @@ func TestAnyFiringLockFree(t *testing.T) {
 	}
 }
 
-// TestForDuration checks a transition only commits after the desired
-// state holds For long, in both directions.
-func TestForDuration(t *testing.T) {
-	e := newTestEngine(t, Rule{
-		Name: "r", Kind: Threshold, Series: "x",
-		Crit: 10, For: 3 * time.Second, ClearRatio: 1,
-	})
-	hot := map[string]float64{"x": 50}
-	cold := map[string]float64{"x": 0}
-
-	e.Eval(frame(0, hot))
-	if got := stateOf(t, e, "r"); got.State != "ok" || got.Reason != "pending crit" {
-		t.Fatalf("t=0: %s/%q, want ok pending", got.State, got.Reason)
-	}
-	e.Eval(frame(1, cold)) // dip resets the pending clock
-	e.Eval(frame(2, hot))
-	e.Eval(frame(4, hot))
-	if got := stateOf(t, e, "r").State; got != "ok" {
-		t.Fatalf("t=4 (held 2s): state %s, want ok", got)
-	}
-	e.Eval(frame(5, hot)) // held 3s since t=2
-	if got := stateOf(t, e, "r").State; got != "crit" {
-		t.Fatalf("t=5 (held 3s): state %s, want crit", got)
-	}
-	// Clearing needs its own 3s hold.
-	e.Eval(frame(6, cold))
-	if got := stateOf(t, e, "r").State; got != "crit" {
-		t.Fatal("clear committed immediately despite For")
-	}
-	e.Eval(frame(9, cold))
-	if got := stateOf(t, e, "r").State; got != "ok" {
-		t.Fatal("clear never committed")
-	}
-}
-
 // TestRatioRule checks per-label alignment of numerator and denominator.
 func TestRatioRule(t *testing.T) {
 	e := newTestEngine(t, Rule{
@@ -241,30 +206,6 @@ func TestMissingSeriesRetainsState(t *testing.T) {
 	got := stateOf(t, e, "r")
 	if got.State != "crit" || got.Reason != "no data" {
 		t.Fatalf("after vanish: %s/%q, want crit/no data", got.State, got.Reason)
-	}
-}
-
-// TestBelowRule checks the mirrored comparison direction.
-func TestBelowRule(t *testing.T) {
-	e := newTestEngine(t, Rule{
-		Name: "low", Kind: Threshold, Series: "x", Cmp: Below,
-		Warn: 10, ClearRatio: 0.5, // clears above 10/0.5 = 20
-	})
-	e.Eval(frame(0, map[string]float64{"x": 15}))
-	if got := stateOf(t, e, "low").State; got != "ok" {
-		t.Fatal("15 should be ok")
-	}
-	e.Eval(frame(1, map[string]float64{"x": 9}))
-	if got := stateOf(t, e, "low").State; got != "warn" {
-		t.Fatal("9 should warn")
-	}
-	e.Eval(frame(2, map[string]float64{"x": 15}))
-	if got := stateOf(t, e, "low").State; got != "warn" {
-		t.Fatal("15 should still warn inside the hysteresis band")
-	}
-	e.Eval(frame(3, map[string]float64{"x": 21}))
-	if got := stateOf(t, e, "low").State; got != "ok" {
-		t.Fatal("21 should clear")
 	}
 }
 

@@ -2,8 +2,7 @@ package flight
 
 import "time"
 
-// BuiltinConfig parameterises the stock rule set. Zero values select the
-// defaults noted per field.
+// BuiltinConfig parameterises the stock rule set.
 type BuiltinConfig struct {
 	// CheckpointEvery is the configured checkpoint cadence; the staleness
 	// rule warns at 3× and goes critical at 10×. Zero disables the rule.
@@ -14,19 +13,6 @@ type BuiltinConfig struct {
 	// Under Block a full queue is lossless backpressure and the normal
 	// state of a replay, so the rule stays listed but never leaves ok.
 	DropNewest bool
-	// ArenaGrowthWarn/Crit are sustained arena growth rates in bytes/s.
-	// Defaults 8 MiB/s and 64 MiB/s.
-	ArenaGrowthWarn, ArenaGrowthCrit float64
-	// ArenaGrowthWindow is the rate window for arena growth. Default 30s.
-	ArenaGrowthWindow time.Duration
-	// ProfileP99Warn/Crit are adaptive-profile p99 stage latencies in
-	// seconds (the rap_profile_p99_seconds gauges the RAP-tree latency
-	// histograms export). Defaults 0.25s and 1s — the top of the profile
-	// universe is ~1.07s, so crit means a stage pegged the scale.
-	ProfileP99Warn, ProfileP99Crit float64
-	// For delays transitions of the noisier rules (queue saturation,
-	// arena growth). Default 0: transition on the first offending scrape.
-	For time.Duration
 }
 
 // BuiltinRules returns the stock alert rules over the engine's own
@@ -42,22 +28,6 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 	if cfg.DropNewest {
 		queueWarn, queueCrit = 0.8, 0.95
 	}
-	if cfg.ArenaGrowthWarn == 0 {
-		cfg.ArenaGrowthWarn = 8 << 20
-	}
-	if cfg.ArenaGrowthCrit == 0 {
-		cfg.ArenaGrowthCrit = 64 << 20
-	}
-	if cfg.ArenaGrowthWindow <= 0 {
-		cfg.ArenaGrowthWindow = 30 * time.Second
-	}
-	if cfg.ProfileP99Warn == 0 {
-		cfg.ProfileP99Warn = 0.25
-	}
-	if cfg.ProfileP99Crit == 0 {
-		cfg.ProfileP99Crit = 1.0
-	}
-
 	rules := []Rule{
 		{
 			Name:   "audit_violations",
@@ -91,7 +61,6 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 			Agg:    AggMax,
 			Warn:   queueWarn,
 			Crit:   queueCrit,
-			For:    cfg.For,
 		},
 		{
 			Name:       "arena_growth",
@@ -99,10 +68,9 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 			Kind:       Rate,
 			Series:     "rap_tree_arena_bytes",
 			Agg:        AggSum,
-			Warn:       cfg.ArenaGrowthWarn,
-			Crit:       cfg.ArenaGrowthCrit,
-			RateWindow: cfg.ArenaGrowthWindow,
-			For:        cfg.For,
+			Warn:       8 << 20,
+			Crit:       64 << 20,
+			RateWindow: 30 * time.Second,
 		},
 		{
 			Name:   "profile_p99",
@@ -110,9 +78,10 @@ func BuiltinRules(cfg BuiltinConfig) []Rule {
 			Kind:   Threshold,
 			Series: "rap_profile_p99_seconds",
 			Agg:    AggMax,
-			Warn:   cfg.ProfileP99Warn,
-			Crit:   cfg.ProfileP99Crit,
-			For:    cfg.For,
+			// The top of the profile universe is ~1.07s, so crit means a
+			// stage pegged the scale.
+			Warn: 0.25,
+			Crit: 1,
 		},
 	}
 	if cfg.CheckpointEvery > 0 {

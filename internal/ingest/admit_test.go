@@ -1,12 +1,14 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
 
 	"rap/internal/admit"
 	"rap/internal/core"
+	"rap/internal/trace"
 )
 
 // admitOptions is testOptions over the full 64-bit universe (so a key
@@ -71,14 +73,16 @@ func TestIngestAdmissionMassReconciles(t *testing.T) {
 			t.Fatalf("source %q: offered %d != applied %d + dropped %d",
 				s.Name, s.Offered, s.Applied, s.Dropped)
 		}
-		if s.Applied != s.Admitted+s.Unadmitted {
-			t.Fatalf("source %q: applied %d != admitted %d + unadmitted %d",
-				s.Name, s.Applied, s.Admitted, s.Unadmitted)
+		// Weight-1 events: the refused weight is a count of applied
+		// events, and the rest of them were credited.
+		if s.Unadmitted > s.Applied {
+			t.Fatalf("source %q: unadmitted %d exceeds applied %d",
+				s.Name, s.Unadmitted, s.Applied)
 		}
 		if s.Offered != perSource {
 			t.Fatalf("source %q offered %d, want %d", s.Name, s.Offered, perSource)
 		}
-		sumAdmitted += s.Admitted
+		sumAdmitted += s.Applied - s.Unadmitted
 		sumUnadmitted += s.Unadmitted
 	}
 	if sumAdmitted != st.N {
@@ -95,6 +99,50 @@ func TestIngestAdmissionMassReconciles(t *testing.T) {
 		t.Fatalf("frontend saw admitted/unadmitted %d/%d, trees report %d/%d",
 			fs.Admitted, fs.Unadmitted, st.N, st.Unadmitted)
 	}
+}
+
+// TestIngestAdmissionWeightedLedger floods the gate with distinct keys at
+// weight 1000 through a trace reader, the path a weighted trace file takes
+// into rapd. A source's Applied counts events but its Unadmitted counts
+// weight, so the ledger reconciles in weight: credited plus refused weight
+// is the offered weight, and the per-source refusals sum to the trees'
+// ledgers.
+func TestIngestAdmissionWeightedLedger(t *testing.T) {
+	const events, weight = 40_000, 1000
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, v := range floodVals(events, 1) {
+		if err := w.Write(trace.Event{Value: v, Weight: weight}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	in := runToCompletion(t, admitOptions(1), []SourceSpec{
+		GeneratorSource("weighted", func() trace.Source { return trace.NewReader(bytes.NewReader(data)) }),
+	})
+
+	st := in.Stats()
+	if st.Unadmitted == 0 {
+		t.Fatal("a weighted key flood got everything admitted; the gate did nothing")
+	}
+	if got, want := st.N+st.Unadmitted, uint64(events*weight); got != want {
+		t.Fatalf("weight leak: credited %d + unadmitted %d = %d, want offered %d",
+			st.N, st.Unadmitted, got, want)
+	}
+	var sumUnadmitted uint64
+	for _, s := range st.Sources {
+		if s.Applied != events {
+			t.Fatalf("source %q applied %d, want %d events", s.Name, s.Applied, events)
+		}
+		sumUnadmitted += s.Unadmitted
+	}
+	if sumUnadmitted != st.Unadmitted {
+		t.Fatalf("per-source unadmitted sums to %d but tree ledgers hold %d", sumUnadmitted, st.Unadmitted)
+	}
+	t.Logf("applied %d events, credited %d, unadmitted %d", events, st.N, st.Unadmitted)
 }
 
 // TestAdmissionLedgerSurvivesRecovery kills an admission-gated pipeline

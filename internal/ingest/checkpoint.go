@@ -14,12 +14,14 @@ import (
 	"time"
 
 	"rap/internal/core"
+	"rap/internal/shard"
 )
 
 // Checkpoint file format (version 2):
 //
 //	"RAPC" | version byte |
-//	uvarint nShards | per shard: uvarint len, tree snapshot (core format) |
+//	tree list (shard.WriteTreeList: uvarint nShards | per shard: uvarint
+//	           len, tree snapshot in core format) |
 //	uvarint nSources | per source: uvarint len, name bytes,
 //	                               uvarint applied, uvarint dropped,
 //	                               uvarint unadmitted |
@@ -132,11 +134,7 @@ func encodeCheckpoint(snaps [][]byte, positions []sourcePos) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(ckMagic)
 	buf.WriteByte(ckVersion)
-	putUvarint(&buf, uint64(len(snaps)))
-	for _, s := range snaps {
-		putUvarint(&buf, uint64(len(s)))
-		buf.Write(s)
-	}
+	shard.WriteTreeList(&buf, snaps)
 	putUvarint(&buf, uint64(len(positions)))
 	for _, sp := range positions {
 		putUvarint(&buf, uint64(len(sp.name)))
@@ -250,33 +248,26 @@ func decodeCheckpoint(data []byte) (*checkpointState, error) {
 		return nil, fmt.Errorf("unsupported checkpoint version %d", ver)
 	}
 
-	st := &checkpointState{}
-	nShards, err := binary.ReadUvarint(r)
+	trees, err := shard.ReadTreeList(r)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nShards; i++ {
-		snap, err := readBlob(r)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d snapshot: %w", i, err)
-		}
-		var tr core.Tree
-		if err := tr.UnmarshalBinary(snap); err != nil {
-			return nil, fmt.Errorf("shard %d snapshot: %w", i, err)
-		}
-		st.trees = append(st.trees, &tr)
-	}
+	st := &checkpointState{trees: trees}
 	nSources, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nSources; i++ {
-		nameB, err := readBlob(r)
+		nameLen, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, fmt.Errorf("source %d: %w", i, err)
 		}
-		var sp sourcePos
-		sp.name = string(nameB)
+		if nameLen > uint64(r.Len()) {
+			return nil, fmt.Errorf("source %d: name length %d exceeds remaining %d bytes", i, nameLen, r.Len())
+		}
+		name := make([]byte, nameLen)
+		r.Read(name) // cannot come up short: nameLen <= r.Len()
+		sp := sourcePos{name: string(name)}
 		if sp.applied, err = binary.ReadUvarint(r); err != nil {
 			return nil, fmt.Errorf("source %q position: %w", sp.name, err)
 		}
@@ -294,21 +285,6 @@ func decodeCheckpoint(data []byte) (*checkpointState, error) {
 		return nil, fmt.Errorf("%d trailing bytes in checkpoint", r.Len())
 	}
 	return st, nil
-}
-
-func readBlob(r *bytes.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("blob length %d exceeds remaining %d bytes", n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 func putUvarint(buf *bytes.Buffer, x uint64) {

@@ -170,14 +170,10 @@ type Options struct {
 
 	// SnapshotEvery is the offered-event cadence between epoch publishes
 	// (default core.DefaultPublishEvery, 64Ki events). Only meaningful
-	// with ReadSnapshots.
+	// with ReadSnapshots. On slow or idle streams Run also publishes once a
+	// second (snapshotMaxStale) whenever events arrived since the last
+	// publish.
 	SnapshotEvery uint64
-
-	// SnapshotMaxStale bounds wall-clock epoch staleness on slow or idle
-	// streams (default 1s): Run publishes a fresh epoch on this cadence
-	// whenever events arrived since the last publish. Only meaningful
-	// with ReadSnapshots.
-	SnapshotMaxStale time.Duration
 
 	// Tracer, when set, threads request-scoped spans through the pipeline:
 	// each enqueued batch becomes a trace whose children cover the
@@ -193,6 +189,9 @@ type Options struct {
 	// admission level changes are recorded on it as zero-duration events.
 	Tracer *span.Tracer
 }
+
+// snapshotMaxStale bounds wall-clock epoch staleness with ReadSnapshots.
+const snapshotMaxStale = time.Second
 
 func (o Options) withDefaults() Options {
 	if o.Tree == (core.Config{}) {
@@ -224,9 +223,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AdmissionObserveEvery <= 0 {
 		o.AdmissionObserveEvery = time.Second
-	}
-	if o.SnapshotMaxStale <= 0 {
-		o.SnapshotMaxStale = time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -571,7 +567,7 @@ func (in *Ingestor) registerMetrics() {
 				in.engine.WithShard(ss.queue.idx, func(*core.Tree) { applied = ss.applied })
 				return float64(applied)
 			}, labels...)
-		reg.CounterFunc("rap_ingest_unadmitted_total", "Events from this source refused by the admission gate.",
+		reg.CounterFunc("rap_ingest_unadmitted_total", "Event weight from this source refused by the admission gate.",
 			func() float64 {
 				var u uint64
 				in.engine.WithShard(ss.queue.idx, func(*core.Tree) { u = ss.unadmitted })
@@ -847,7 +843,7 @@ func (in *Ingestor) Run(ctx context.Context) error {
 	stopAdm := every(in.adm != nil, in.opts.AdmissionObserveEvery, func() {
 		in.adm.Observe(in.engine.Stats())
 	})
-	stopPub := every(in.opts.ReadSnapshots, in.opts.SnapshotMaxStale, func() {
+	stopPub := every(in.opts.ReadSnapshots, snapshotMaxStale, func() {
 		// Publish only when events arrived since the last epoch: an idle
 		// stream keeps its (already current) epoch instead of burning
 		// clones on nothing.
@@ -1164,19 +1160,16 @@ func (in *Ingestor) Dropped() uint64 {
 	return total
 }
 
-// SourceStats reports one source's supervision state. The drop and
-// admission ledgers partition the offered stream exactly:
-//
-//	Admitted + Unadmitted + Dropped == Offered
-//
-// (the built-in sources emit weight-1 events, so event counts and weights
-// coincide; Unadmitted is in weight units for weighted sources).
+// SourceStats reports one source's supervision state. Offered, Applied
+// and Dropped count events, because together they are the source's
+// stream position (Offered == Applied + Dropped). Unadmitted counts event
+// weight, the unit of the trees' ledgers; for a weight-1 stream the
+// events credited to the tree are Applied − Unadmitted.
 type SourceStats struct {
 	Name       string
 	Offered    uint64        // events the reader handed off: Applied + Dropped
 	Applied    uint64        // events applied to its shard tree (incl. unadmitted)
-	Admitted   uint64        // events credited to the tree: Applied − Unadmitted
-	Unadmitted uint64        // weight refused by the admission gate
+	Unadmitted uint64        // event weight refused by the admission gate
 	Dropped    uint64        // events shed under DropNewest
 	Retries    uint64        // reopen attempts
 	Failed     bool          // permanently failed
@@ -1254,7 +1247,6 @@ func (in *Ingestor) Stats() Stats {
 			s.Unadmitted = ss.unadmitted
 		})
 		s.Offered = s.Applied + s.Dropped
-		s.Admitted = s.Applied - s.Unadmitted
 		if err := ss.lastError(); err != nil {
 			s.LastErr = err.Error()
 		}

@@ -154,15 +154,6 @@ func (h *Handle) AddSamples(samples []core.Sample) {
 	h.eng.notePub(uint64(len(samples)))
 }
 
-// AddSorted records an ascending pre-sorted chunk under one lock
-// acquisition, coalescing equal-value runs (see core.Tree.AddSorted).
-func (h *Handle) AddSorted(points []uint64) {
-	h.sh.mu.Lock()
-	h.sh.tree.AddSorted(points)
-	h.sh.mu.Unlock()
-	h.eng.notePub(uint64(len(points)))
-}
-
 // Add records one occurrence of p on a round-robin shard. Handle-free
 // ingestion keeps the engine usable through the plain Writer interface,
 // at the cost (with more than one shard) of bouncing the round-robin
@@ -563,10 +554,9 @@ func (e *Engine) MergedTreeCut(capture func(m *core.Tree)) *core.Tree {
 	return m
 }
 
-// Snapshot format: "RAPS" | version | uvarint shard count | per shard a
-// length-prefixed core tree snapshot. The per-shard trees are preserved
-// individually (not pre-merged) so a restore resumes with the same
-// distribution of state across stripes.
+// Snapshot format: "RAPS" | version | tree list (see WriteTreeList). The
+// per-shard trees are preserved individually (not pre-merged) so a
+// restore resumes with the same distribution of state across stripes.
 const (
 	snapMagic   = "RAPS"
 	snapVersion = 1
@@ -622,12 +612,42 @@ func encodeSnapshot(snaps [][]byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(snapMagic)
 	buf.WriteByte(snapVersion)
-	writeUvarint(&buf, uint64(len(snaps)))
+	WriteTreeList(&buf, snaps)
+	return buf.Bytes()
+}
+
+// WriteTreeList appends a list of shard tree snapshots (as MarshalBinary
+// or SnapshotShards produce them) to buf: uvarint count, then per shard
+// uvarint length and the snapshot bytes. It is the body of a Snapshot and
+// the shard section of an ingest checkpoint.
+func WriteTreeList(buf *bytes.Buffer, snaps [][]byte) {
+	writeUvarint(buf, uint64(len(snaps)))
 	for _, s := range snaps {
-		writeUvarint(&buf, uint64(len(s)))
+		writeUvarint(buf, uint64(len(s)))
 		buf.Write(s)
 	}
-	return buf.Bytes()
+}
+
+// ReadTreeList decodes a list WriteTreeList wrote from r, leaving r just
+// past it.
+func ReadTreeList(r *bytes.Reader) ([]*core.Tree, error) {
+	count, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, fmt.Errorf("shard: truncated tree list: %w", err)
+	}
+	var trees []*core.Tree
+	for i := uint64(0); i < count; i++ {
+		blob, err := readBlob(r)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d snapshot: %w", i, err)
+		}
+		var t core.Tree
+		if err := t.UnmarshalBinary(blob); err != nil {
+			return nil, fmt.Errorf("shard %d snapshot: %w", i, err)
+		}
+		trees = append(trees, &t)
+	}
+	return trees, nil
 }
 
 // Restore replaces every shard's contents from a snapshot previously
@@ -644,41 +664,20 @@ func (e *Engine) Restore(data []byte) error {
 	if err != nil || ver != snapVersion {
 		return fmt.Errorf("shard: unsupported snapshot version %d", ver)
 	}
-	count, err := binary.ReadUvarint(r)
+	trees, err := ReadTreeList(r)
 	if err != nil {
-		return fmt.Errorf("shard: truncated snapshot: %w", err)
+		return err
 	}
-	if count != uint64(len(e.shards)) {
+	if len(trees) != len(e.shards) {
 		return fmt.Errorf("%w: snapshot has %d, engine has %d",
-			ErrShardCount, count, len(e.shards))
-	}
-	trees := make([]*core.Tree, count)
-	for i := range trees {
-		blob, err := readBlob(r)
-		if err != nil {
-			return fmt.Errorf("shard %d snapshot: %w", i, err)
-		}
-		var t core.Tree
-		if err := t.UnmarshalBinary(blob); err != nil {
-			return fmt.Errorf("shard %d snapshot: %w", i, err)
-		}
-		trees[i] = &t
+			ErrShardCount, len(trees), len(e.shards))
 	}
 	if r.Len() != 0 {
 		return fmt.Errorf("shard: %d trailing bytes after snapshot", r.Len())
 	}
 	for i, sh := range e.shards {
 		sh.mu.Lock()
-		trees[i].SetHooks(sh.hooks)
-		trees[i].SetTap(sh.tap)
-		trees[i].SetAdmitter(sh.adm)
-		sh.tree = trees[i]
-		if sh.tap != nil {
-			sh.tap.TreeReplaced()
-		}
-		if sh.adm != nil {
-			sh.adm.TreeReplaced()
-		}
+		sh.swap(trees[i])
 		sh.mu.Unlock()
 	}
 	e.republish()
@@ -691,6 +690,15 @@ func (e *Engine) Restore(data []byte) error {
 func (e *Engine) AdoptShard(i int, t *core.Tree) {
 	sh := e.shards[i]
 	sh.mu.Lock()
+	sh.swap(t)
+	sh.mu.Unlock()
+	e.republish()
+}
+
+// swap installs t as the shard's tree with the shard's hooks, tap and
+// gate, and tells the tap and gate their tree was replaced. The caller
+// holds sh.mu.
+func (sh *treeShard) swap(t *core.Tree) {
 	t.SetHooks(sh.hooks)
 	t.SetTap(sh.tap)
 	t.SetAdmitter(sh.adm)
@@ -701,8 +709,6 @@ func (e *Engine) AdoptShard(i int, t *core.Tree) {
 	if sh.adm != nil {
 		sh.adm.TreeReplaced()
 	}
-	sh.mu.Unlock()
-	e.republish()
 }
 
 func writeUvarint(buf *bytes.Buffer, x uint64) {

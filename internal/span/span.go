@@ -123,9 +123,6 @@ type Options struct {
 	SampleRate uint64
 	// Capacity is the span ring size. Default 4096.
 	Capacity int
-	// SlowCapacity is the slow-op log size: slow spans and EventAlways
-	// records. Default 64.
-	SlowCapacity int
 	// SlowThreshold promotes any span at least this long into the ring and
 	// the slow-op log regardless of sampling. 0 selects the default 100ms;
 	// negative disables promotion.
@@ -144,14 +141,15 @@ func (o Options) withDefaults() Options {
 	if o.Capacity <= 0 {
 		o.Capacity = 4096
 	}
-	if o.SlowCapacity <= 0 {
-		o.SlowCapacity = 64
-	}
 	if o.SlowThreshold == 0 {
 		o.SlowThreshold = 100 * time.Millisecond
 	}
 	return o
 }
+
+// slowCapacity is the slow-op log size: slow spans and EventAlways
+// records.
+const slowCapacity = 64
 
 // Tracer creates spans and owns the recorded-span ring. All methods are
 // safe for concurrent use.
@@ -448,7 +446,7 @@ func (tr *Tracer) store(rec *Record) {
 func (tr *Tracer) logSlow(rec *Record) {
 	tr.slowMu.Lock()
 	defer tr.slowMu.Unlock()
-	if len(tr.slowLog) < tr.opt.SlowCapacity {
+	if len(tr.slowLog) < slowCapacity {
 		tr.slowLog = append(tr.slowLog, *rec)
 	} else {
 		tr.slowLog[tr.slowNext] = *rec
