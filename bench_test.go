@@ -11,7 +11,6 @@
 package rap_test
 
 import (
-	"slices"
 	"testing"
 
 	"rap/internal/audit"
@@ -247,25 +246,6 @@ func BenchmarkTreeAddCoalesced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.AddN(points[i&(microTable-1)], 16)
-	}
-	reportNodeBytes(b, t)
-}
-
-// BenchmarkTreeAddSorted feeds AddSorted pre-sorted 4096-point chunks of
-// the Zipf table; ns/op is per point. Sorting is the caller's cost, so it
-// happens before the timer starts.
-func BenchmarkTreeAddSorted(b *testing.B) {
-	const chunk = 4096
-	points := zipfPoints(1<<20, 1.2)
-	chunks := make([][]uint64, microTable/chunk)
-	for i := range chunks {
-		chunks[i] = slices.Clone(points[i*chunk : (i+1)*chunk])
-		slices.Sort(chunks[i])
-	}
-	t := core.MustNew(core.DefaultConfig())
-	b.ResetTimer()
-	for fed, k := 0, 0; fed < b.N; fed, k = fed+chunk, (k+1)%len(chunks) {
-		t.AddSorted(chunks[k][:min(chunk, b.N-fed)])
 	}
 	reportNodeBytes(b, t)
 }

@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	rapbench [-n events] [-seed s] [-json] fig2|fig3|fig5|fig6|fig7|fig8|fig9|fig10|hw|headline|narrow|ablations|mini|extensions|contended|contendedquery|adversarial|all
+//	rapbench [-n events] [-seed s] [-json] <experiment>|all
+//
+// -h lists the experiments: the names in order, the sequence all runs.
 //
 // With -json each experiment is emitted as one machine-readable envelope
 // (experiment name, scale, wall time, events/sec, and the full result
@@ -18,6 +20,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"rap/internal/experiments"
@@ -29,7 +32,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of prose tables")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rapbench [-n events] [-seed s] [-json] <experiment>\n")
-		fmt.Fprintf(os.Stderr, "experiments: fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 hw headline narrow ablations mini extensions contended contendedquery adversarial all\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s all\n", strings.Join(order, " "))
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -65,7 +68,7 @@ func (m multi) Print(w io.Writer) {
 var order = []string{
 	"fig2", "fig3", "fig5", "fig6", "fig7", "fig8",
 	"fig9", "fig10", "hw", "headline", "narrow", "ablations", "mini", "extensions",
-	"contended", "contendedquery", "adversarial",
+	"adversarial",
 }
 
 // measure executes one experiment and returns its result. It is the
@@ -109,10 +112,6 @@ func measure(name string, o experiments.Options) (printable, error) {
 		return wrap(experiments.Extensions(o))
 	case "mini":
 		return wrap(experiments.Mini(o))
-	case "contended":
-		return wrap(experiments.Contended(o))
-	case "contendedquery":
-		return wrap(experiments.ContendedQuery(o))
 	case "adversarial":
 		return wrap(experiments.Adversarial(o))
 	default:

@@ -197,16 +197,7 @@ func TestFloodAlertFiresAndClears(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
-	// The admit test-suite's fast watchdog: reacts within thousands of
-	// events instead of the production hundreds of thousands.
-	opts.Admission = &admit.Options{
-		EvalEvery:     1024,
-		WindowOffered: 2048,
-		StartupGraceN: 8192,
-		ColdGraceN:    2048,
-		CalmStreak:    2,
-		Seed:          42,
-	}
+	opts.Admission = &admit.Options{Seed: 42}
 	opts.AdmissionObserveEvery = 20 * time.Millisecond
 	specs, err := c.specs(nil)
 	if err != nil {

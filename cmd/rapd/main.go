@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -234,6 +235,17 @@ func (c cliConfig) validate() error {
 	}
 	if c.admit && c.admitPeriod < 1 {
 		return fmt.Errorf("-admit-period %d: period must be >= 1", c.admitPeriod)
+	}
+	if c.admit && c.admitPeriod > admit.MaxBasePeriod {
+		return fmt.Errorf("-admit-period %d: period must be <= %d", c.admitPeriod, uint64(admit.MaxBasePeriod))
+	}
+	// With soft <= hard, these three checks hold both thresholds in
+	// [1, MaxInt64]: the watchdog compares them as int64 arena bytes.
+	if c.admit && c.admitArenaSoft < 1 {
+		return fmt.Errorf("-admit-arena-soft %d: threshold must be >= 1", c.admitArenaSoft)
+	}
+	if c.admit && c.admitArenaHard > math.MaxInt64 {
+		return fmt.Errorf("-admit-arena-hard %d: threshold must be <= %d", c.admitArenaHard, int64(math.MaxInt64))
 	}
 	if c.admit && c.admitArenaSoft > c.admitArenaHard {
 		return fmt.Errorf("-admit-arena-soft %d exceeds -admit-arena-hard %d", c.admitArenaSoft, c.admitArenaHard)

@@ -223,6 +223,13 @@ func TestValidateFlagCombos(t *testing.T) {
 		{"admit period zero", []string{"-admit", "-admit-period", "0"}, "period must be >= 1"},
 		{"arena thresholds inverted", []string{"-admit", "-admit-arena-soft", "64", "-admit-arena-hard", "32"}, "exceeds"},
 		{"arena thresholds ordered", []string{"-admit", "-admit-arena-soft", "32", "-admit-arena-hard", "64"}, ""},
+		// Past these the gate's 64-bit coin periods and the watchdog's
+		// int64 arena thresholds wrap.
+		{"admit period at cap", []string{"-admit", "-admit-period", "144115188075855872"}, ""},
+		{"admit period past cap", []string{"-admit", "-admit-period", "144115188075855873"}, "period must be <= 144115188075855872"},
+		{"arena soft zero", []string{"-admit", "-admit-arena-soft", "0"}, "threshold must be >= 1"},
+		{"arena hard past int64", []string{"-admit", "-admit-arena-hard", "9223372036854775808"}, "threshold must be <= 9223372036854775807"},
+		{"arena hard at int64", []string{"-admit", "-admit-arena-hard", "9223372036854775807"}, ""},
 		{"flood with knobs", []string{"-bench", "gzip", "-kind", "flood", "-flood-frac", "0.9", "-flood-n", "1000"}, ""},
 		{"flood frac without flood kind", []string{"-bench", "gzip", "-flood-frac", "0.9"}, "requires -kind flood"},
 		{"flood burst without flood kind", []string{"-bench", "gzip", "-flood-n", "1000"}, "requires -kind flood"},

@@ -78,39 +78,15 @@ func (l Level) String() string {
 // Options parameterize a Frontend. The zero value selects all defaults.
 type Options struct {
 	// BasePeriod is the geometric coin period at Normal: a cold point is
-	// admitted with probability 1/BasePeriod. Rounded up to a power of two.
-	// Default 8.
+	// admitted with probability 1/BasePeriod. Rounded up to a power of two
+	// and capped at MaxBasePeriod. Default 8.
 	BasePeriod uint64
-	// MaxPeriod caps period doubling under pressure at Siege. Rounded up
-	// to a power of two. Default 8192.
-	MaxPeriod uint64
-
-	// EvalEvery is how many events a gate sees between watchdog
-	// evaluations it triggers. Default 8192.
-	EvalEvery uint64
-	// WindowOffered is the decision window: the controller judges churn
-	// rate over at least this much offered weight. Default 16384.
-	WindowOffered uint64
-	// StartupGraceN suppresses the churn signal (not the arena signal)
-	// until this much weight has been offered: early-stream splitting is
-	// the adaptive machinery finding the distribution, not an attack.
-	// Default 1<<17.
-	StartupGraceN uint64
 
 	// ArenaSoftBytes and ArenaHardBytes are the watchdog's memory
 	// thresholds over the engine's total arena footprint: soft escalates
 	// to Defensive, hard to Siege. Defaults 8 MiB and 32 MiB.
 	ArenaSoftBytes int64
 	ArenaHardBytes int64
-	// ColdGraceN arms the composition signals once this much weight has
-	// been offered. It is much shorter than StartupGraceN because warmth
-	// is observable almost immediately — a benign stream's hot prefixes
-	// collect coin wins within the first window — while benign churn
-	// takes far longer to settle. Default 1<<14 (one decision window).
-	ColdGraceN uint64
-	// CalmStreak is how many consecutive calm decision windows are needed
-	// before de-escalating one level (hysteresis). Default 3.
-	CalmStreak int
 
 	// Seed derives the per-gate coin RNG streams, so a run is
 	// reproducible. Default a fixed published constant.
@@ -124,44 +100,52 @@ type Options struct {
 	Trace *span.Tracer
 }
 
+// MaxBasePeriod is the largest BasePeriod a Frontend runs with: its Siege
+// period, BasePeriod<<siegeShift, is then 2^63 and still fits in 64 bits.
+const MaxBasePeriod = 1 << (63 - siegeShift)
+
 func (o Options) withDefaults() Options {
 	if o.BasePeriod == 0 {
 		o.BasePeriod = 8
 	}
-	o.BasePeriod = ceilPow2(o.BasePeriod)
-	if o.MaxPeriod == 0 {
-		o.MaxPeriod = 8192
-	}
-	o.MaxPeriod = ceilPow2(o.MaxPeriod)
-	if siege := o.BasePeriod << siegeShift; o.MaxPeriod < siege {
-		o.MaxPeriod = siege
-	}
-	if o.EvalEvery == 0 {
-		o.EvalEvery = 8192
-	}
-	if o.WindowOffered == 0 {
-		o.WindowOffered = 16384
-	}
-	if o.StartupGraceN == 0 {
-		o.StartupGraceN = 1 << 17
-	}
+	o.BasePeriod = ceilPow2(min(o.BasePeriod, MaxBasePeriod))
 	if o.ArenaSoftBytes == 0 {
 		o.ArenaSoftBytes = 8 << 20
 	}
 	if o.ArenaHardBytes == 0 {
 		o.ArenaHardBytes = 32 << 20
 	}
-	if o.ColdGraceN == 0 {
-		o.ColdGraceN = 1 << 14
-	}
-	if o.CalmStreak == 0 {
-		o.CalmStreak = 3
-	}
 	if o.Seed == 0 {
 		o.Seed = 0x9e3779b97f4a7c15
 	}
 	return o
 }
+
+// The watchdog's clock, windows and hysteresis.
+const (
+	// maxPeriod caps period doubling under pressure at Siege. A Siege base
+	// period BasePeriod<<siegeShift above it is the cap instead.
+	maxPeriod = 8192
+	// evalEvery is how many events a gate sees between watchdog
+	// evaluations it triggers.
+	evalEvery = 8192
+	// windowOffered is the decision window: the controller judges churn
+	// rate over at least this much offered weight.
+	windowOffered = 16384
+	// startupGraceN suppresses the churn signal (not the arena signal)
+	// until this much weight has been offered: early-stream splitting is
+	// the adaptive machinery finding the distribution, not an attack.
+	startupGraceN = 1 << 17
+	// coldGraceN arms the composition signals once this much weight has
+	// been offered. It is much shorter than startupGraceN because warmth
+	// is observable almost immediately — a benign stream's hot prefixes
+	// collect coin wins within the first window — while benign churn
+	// takes far longer to settle. One decision window.
+	coldGraceN = 1 << 14
+	// calmStreak is how many consecutive calm decision windows are needed
+	// before de-escalating one level (hysteresis).
+	calmStreak = 3
+)
 
 // debugEscalate, when non-nil (tests only), observes escalation decisions.
 var debugEscalate func(from, to Level, arena int64, rate, coldFrac float64, offered uint64)
@@ -217,7 +201,7 @@ const (
 	// up only until the new hot regions warm.
 	coldCalmFrac = 0.5
 	// coldSiegeFrac is the composition escalation threshold: a decision
-	// window (past ColdGraceN) whose cold fraction is at least this goes
+	// window (past coldGraceN) whose cold fraction is at least this goes
 	// straight to Siege without waiting for churn or arena damage — a
 	// stream that is mostly never-seen-before mass after the sketch has
 	// had time to warm is a cardinality attack by definition.
@@ -237,6 +221,9 @@ func ceilPow2(x uint64) uint64 {
 // engine (one Gates call).
 type Frontend struct {
 	opts Options
+	// periodCap is where Siege doubling stops: maxPeriod, or the Siege
+	// base period when that is larger.
+	periodCap uint64
 
 	// level, period and levelEpoch are the control outputs the gates read
 	// on their hot path; the controller is their only writer.
@@ -276,6 +263,7 @@ type Frontend struct {
 // with Observe.
 func New(opts Options) *Frontend {
 	f := &Frontend{opts: opts.withDefaults()}
+	f.periodCap = max(maxPeriod, f.opts.BasePeriod<<siegeShift)
 	f.period.Store(f.opts.BasePeriod)
 	return f
 }
@@ -366,7 +354,7 @@ func (f *Frontend) tryEvaluate() {
 
 // evaluateLocked is the degradation state machine. Escalation is
 // immediate and jumps straight to the level the signals demand;
-// de-escalation steps one level at a time and only after CalmStreak
+// de-escalation steps one level at a time and only after calmStreak
 // consecutive windows below deescalateRatio x the entry thresholds
 // (hysteresis, so a flood that pulses cannot make the frontend thrash).
 // force causes a decision even before a full offered window has
@@ -390,7 +378,7 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 		f.lastBatches = batchesTotal
 	}
 	offDelta := offeredTotal - f.lastOffered
-	if !force && offDelta < f.opts.WindowOffered {
+	if !force && offDelta < windowOffered {
 		return
 	}
 	churnDelta := churnTotal - f.lastChurn
@@ -406,7 +394,7 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 	// still is — a rate that refusing more cold points cannot flatter.
 	// (admDelta == 0 implies churnDelta == 0: no credit, no splits.)
 	var rate float64
-	if admDelta > 0 && offeredTotal >= f.opts.StartupGraceN {
+	if admDelta > 0 && offeredTotal >= startupGraceN {
 		rate = float64(churnDelta) * 1000 / float64(admDelta)
 	}
 
@@ -418,11 +406,11 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 	}
 
 	// Cold fraction of the window's offered weight — the composition
-	// signal. Armed after the short ColdGraceN, long before the churn
+	// signal. Armed after the short coldGraceN, long before the churn
 	// signal: benign hot prefixes warm within the first few windows, so a
 	// window that is still mostly cold past that point is flood mass.
 	var coldFrac float64
-	if offDelta > 0 && offeredTotal >= f.opts.ColdGraceN {
+	if offDelta > 0 && offeredTotal >= coldGraceN {
 		coldFrac = float64(coldDelta) / float64(offDelta)
 	}
 
@@ -489,7 +477,7 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 			return
 		}
 		f.calmWindows++
-		if f.calmWindows >= f.opts.CalmStreak {
+		if f.calmWindows >= calmStreak {
 			f.calmWindows = 0
 			f.cooldown = true
 			f.setLevelLocked(cur-1, arena, rate, offeredTotal)
@@ -500,7 +488,7 @@ func (f *Frontend) evaluateLocked(arena int64, churnTotal, batchesTotal, offered
 		// containing arena growth, so make cold admission geometrically
 		// rarer still.
 		if cur == Siege && arena >= f.opts.ArenaHardBytes {
-			if p := f.period.Load(); p < f.opts.MaxPeriod {
+			if p := f.period.Load(); p < f.periodCap {
 				f.period.Store(p << 1)
 				f.recordLevel("admit.period_double", cur, arena, rate, offeredTotal)
 			}

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"rap/internal/core"
@@ -36,15 +37,9 @@ func gatedTree(t *testing.T, fe *Frontend) *core.Tree {
 	return tr
 }
 
-// fastOpts makes the watchdog react within small test streams.
+// fastOpts fixes the coin seed; the watchdog runs at production values.
 func fastOpts() Options {
-	return Options{
-		EvalEvery:     1024,
-		WindowOffered: 2048,
-		StartupGraceN: 8192,
-		ColdGraceN:    2048,
-		Seed:          42,
-	}
+	return Options{Seed: 42}
 }
 
 func TestFloodEscalatesToSiege(t *testing.T) {
@@ -71,11 +66,9 @@ func TestFloodEscalatesToSiege(t *testing.T) {
 }
 
 func TestBenignStreamStaysNormal(t *testing.T) {
-	// Default StartupGraceN here on purpose: the churn grace exists
-	// precisely so benign cold-start structure formation is not judged.
-	opts := fastOpts()
-	opts.StartupGraceN = 0
-	fe := New(opts)
+	// The churn grace, startupGraceN, exists precisely so benign
+	// cold-start structure formation is not judged.
+	fe := New(fastOpts())
 	tr := gatedTree(t, fe)
 	b, err := workload.ByName("gzip")
 	if err != nil {
@@ -187,8 +180,8 @@ func TestPeriodDoublingUnderArenaPressure(t *testing.T) {
 	if st.Period <= siegeBase {
 		t.Fatalf("period = %d never doubled past the siege base %d under sustained hard pressure", st.Period, siegeBase)
 	}
-	if st.Period > fe.Options().MaxPeriod {
-		t.Fatalf("period = %d exceeds MaxPeriod %d", st.Period, fe.Options().MaxPeriod)
+	if st.Period > maxPeriod {
+		t.Fatalf("period = %d exceeds maxPeriod %d", st.Period, maxPeriod)
 	}
 
 	// Both decisions are always-kept span events despite a head rate that
@@ -211,6 +204,48 @@ func TestPeriodDoublingUnderArenaPressure(t *testing.T) {
 	}
 	if names["admit.level"] != int(st.LevelChanges) || names["admit.period_double"] == 0 {
 		t.Fatalf("events %v, want %d admit.level and some admit.period_double", names, st.LevelChanges)
+	}
+}
+
+// TestHugeBasePeriodKeepsSiegeClosed: a BasePeriod whose Siege period
+// would not fit in 64 bits is capped at MaxBasePeriod, so every level
+// keeps a coin and escalating to Siege still refuses the flood instead of
+// admitting every cold point.
+func TestHugeBasePeriodKeepsSiegeClosed(t *testing.T) {
+	for _, base := range []uint64{1 << 58, 1<<63 + 1, math.MaxUint64} {
+		fe := New(Options{BasePeriod: base})
+		if got := fe.Options().BasePeriod; got != MaxBasePeriod {
+			t.Errorf("BasePeriod %d ran as %d, want the cap %d", base, got, uint64(MaxBasePeriod))
+		}
+		for _, l := range []Level{Normal, Defensive, Siege} {
+			if p := fe.periodFor(l); p < 2 {
+				t.Errorf("BasePeriod %d: %v period %d admits every cold point", base, l, p)
+			}
+		}
+	}
+
+	fe := New(Options{BasePeriod: 1 << 58, Seed: 42})
+	tr := gatedTree(t, fe)
+	src := workload.Flood(7)
+	for i := 0; fe.Level() != Siege; i++ {
+		if i == 200_000 {
+			t.Fatalf("flood never escalated to siege: %+v", fe.Stats())
+		}
+		e, _ := src.Next()
+		tr.AddN(e.Value, e.Weight)
+	}
+	before := fe.Stats()
+	const more = 50_000
+	for i := 0; i < more; i++ {
+		e, _ := src.Next()
+		tr.AddN(e.Value, e.Weight)
+	}
+	after := fe.Stats()
+	if after.Level != Siege {
+		t.Fatalf("level = %v under a sustained flood, want siege", after.Level)
+	}
+	if refused := after.Unadmitted - before.Unadmitted; refused < more*99/100 {
+		t.Fatalf("siege refused %d of %d flood events at period %d", refused, more, after.Period)
 	}
 }
 

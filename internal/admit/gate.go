@@ -86,7 +86,7 @@ func (g *Gate) Admit(p uint64, weight uint64, plen int) bool {
 // Admit — gate-side, under the shard lock.
 func (g *Gate) tick() {
 	g.ticks++
-	if g.ticks >= g.f.opts.EvalEvery {
+	if g.ticks >= evalEvery {
 		g.ticks = 0
 		if ep := g.f.levelEpoch.Load(); ep != g.epochSeen {
 			g.epochSeen = ep
@@ -133,12 +133,5 @@ func (g *Gate) TreeReplaced() {
 	g.churn.Store(0)
 	g.batches.Store(0)
 }
-
-// Offered, Admitted and Unadmitted are the gate's process-lifetime
-// counters (they survive tree restores, unlike the tree's own ledger —
-// the tree ledger is authoritative for bounds, these for operations).
-func (g *Gate) Offered() uint64    { return g.offered.Load() }
-func (g *Gate) Admitted() uint64   { return g.admitted.Load() }
-func (g *Gate) Unadmitted() uint64 { return g.unadmitted.Load() }
 
 var _ core.Admitter = (*Gate)(nil)

@@ -154,7 +154,6 @@ func TestBatchedPathsAreTapped(t *testing.T) {
 		pts[i] = uint64(i % 512)
 	}
 	tr.AddBatch(pts)
-	tr.AddSorted(pts[:500])
 	tr.AddSamples([]core.Sample{{Value: 3, Weight: 10}, {Value: 9, Weight: 0}})
 	rep, err := a.Audit()
 	if err != nil {

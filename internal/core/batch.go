@@ -29,21 +29,3 @@ func (t *Tree) AddSamples(samples []Sample) {
 		t.AddN(s.Value, s.Weight)
 	}
 }
-
-// AddSorted records an ascending pre-sorted chunk of points, coalescing
-// each run of equal values into one weighted update. It is equivalent to
-// calling AddN(value, runLength) per distinct value in order — the
-// coalesced-update semantics of the hardware stage-0 buffer — not to
-// per-point Add: a run's whole weight is credited to the range that was
-// smallest when the run began. Sorting a chunk before ingest trades that
-// (bounded, AddN-style) reordering for one descent per distinct value.
-func (t *Tree) AddSorted(points []uint64) {
-	for i := 0; i < len(points); {
-		j := i + 1
-		for j < len(points) && points[j] == points[i] {
-			j++
-		}
-		t.AddN(points[i], uint64(j-i))
-		i = j
-	}
-}

@@ -48,59 +48,6 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 	}
 }
 
-func TestAddSortedCoalescesRuns(t *testing.T) {
-	// AddSorted's contract is AddN-per-run: one weighted update per
-	// distinct value, in ascending order.
-	cfg := batchTestConfig()
-	points := skewedPoints(2, 60_000)
-	sorted := append([]uint64(nil), points...)
-	sortUint64s(sorted)
-
-	viaAddN := MustNew(cfg)
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		viaAddN.AddN(sorted[i], uint64(j-i))
-		i = j
-	}
-	viaSorted := MustNew(cfg)
-	// Ragged chunks, including cuts inside runs of equal values.
-	rng := rand.New(rand.NewSource(3))
-	for off := 0; off < len(sorted); {
-		end := off + 1 + rng.Intn(900)
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		viaSorted.AddSorted(sorted[off:end])
-		off = end
-	}
-	if viaSorted.N() != uint64(len(sorted)) {
-		t.Fatalf("N = %d, want %d", viaSorted.N(), len(sorted))
-	}
-	// Chunk cuts inside an equal-value run split one AddN into two, which
-	// is a different call sequence; totals and estimates must still agree
-	// within the paper's bound, and on run-aligned chunking the trees are
-	// identical.
-	whole := MustNew(cfg)
-	whole.AddSorted(sorted)
-	if !bytes.Equal(mustMarshal(t, viaAddN), mustMarshal(t, whole)) {
-		t.Fatal("AddSorted over one chunk diverged from AddN per run")
-	}
-	if whole.Total() != whole.N() {
-		t.Fatalf("AddSorted lost events: Total=%d N=%d", whole.Total(), whole.N())
-	}
-}
-
-func sortUint64s(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // TestStartTableSurvivesStructuralRewrites is the stale-slot regression
 // suite: each subtest warms the start table with a batched run, fires one
 // structural rewrite that detaches, renumbers or replaces nodes (merge

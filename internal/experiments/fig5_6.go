@@ -7,7 +7,6 @@ import (
 
 	"rap/internal/analysis"
 	"rap/internal/core"
-	"rap/internal/trace"
 	"rap/internal/workload"
 )
 
@@ -85,19 +84,4 @@ func (r Fig6Result) Print(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-14d %-8d %s\n", p.N, p.Nodes, mark)
 	}
-}
-
-// feedInto streams exactly n events into sink, returning false when the
-// source ran dry first.
-func feedInto(src trace.Source, n uint64, sink func(trace.Event)) bool {
-	var fed uint64
-	for fed < n {
-		e, ok := src.Next()
-		if !ok {
-			return false
-		}
-		sink(e)
-		fed += e.Weight
-	}
-	return true
 }

@@ -22,9 +22,6 @@ type Options struct {
 	// Depth is how many frames the ring retains — Depth × Every of
 	// history. Default 900 (15 min at 1 s).
 	Depth int
-	// BlockFrames is how many frames share one delta block. Larger blocks
-	// compress better but evict in coarser steps. Default 30.
-	BlockFrames int
 }
 
 func (o Options) withDefaults() Options {
@@ -34,14 +31,12 @@ func (o Options) withDefaults() Options {
 	if o.Depth <= 0 {
 		o.Depth = 900
 	}
-	if o.BlockFrames <= 0 {
-		o.BlockFrames = 30
-	}
-	if o.BlockFrames > o.Depth {
-		o.BlockFrames = o.Depth
-	}
 	return o
 }
+
+// blockFrames is how many frames share one delta block, clamped to the
+// ring's Depth. Larger blocks compress better but evict in coarser steps.
+const blockFrames = 30
 
 // SeriesMeta identifies one recorded series. Key is the exposition-style
 // identity (`name` or `name{k="v",...}`); Name is the family name the key
@@ -111,12 +106,6 @@ type Recorder struct {
 func NewRecorder(reg *obs.Registry, opt Options) *Recorder {
 	return &Recorder{reg: reg, opt: opt.withDefaults(), dict: make(map[string]int)}
 }
-
-// Every returns the configured scrape cadence.
-func (r *Recorder) Every() time.Duration { return r.opt.Every }
-
-// Depth returns the configured ring depth in frames.
-func (r *Recorder) Depth() int { return r.opt.Depth }
 
 // Register exports the recorder's self-metrics on reg.
 func (r *Recorder) Register(reg *obs.Registry) {
@@ -192,7 +181,7 @@ func (r *Recorder) Scrape(now time.Time) {
 
 	var cur *block
 	var base []uint64
-	if n := len(r.blocks); n > 0 && r.blocks[n-1].frames() < r.opt.BlockFrames {
+	if n := len(r.blocks); n > 0 && r.blocks[n-1].frames() < min(blockFrames, r.opt.Depth) {
 		cur = r.blocks[n-1]
 		base = r.last
 	} else {

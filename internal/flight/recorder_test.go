@@ -22,7 +22,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "")
 	c := reg.Counter("c", "", obs.L("shard", "0"))
-	rec := NewRecorder(reg, Options{Depth: 100, BlockFrames: 7})
+	rec := NewRecorder(reg, Options{Depth: 100})
 
 	want := []float64{0, 1.5, 1.5, -3, 1e12, 0.1}
 	for i, v := range want {
@@ -92,24 +92,24 @@ func TestRecorderWindowAndRate(t *testing.T) {
 func TestRecorderEvictionBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "")
-	rec := NewRecorder(reg, Options{Depth: 50, BlockFrames: 10})
+	rec := NewRecorder(reg, Options{Depth: 150})
 	var maxBytes int64
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 1500; i++ {
 		g.Set(float64(i % 7))
 		rec.Scrape(at(i))
 		if b := rec.ringBytes.Load(); b > maxBytes {
 			maxBytes = b
 		}
 	}
-	if got := rec.frameGauge.Load(); got > 50+10 {
+	if got := rec.frameGauge.Load(); got > 150+blockFrames {
 		t.Errorf("frames retained = %d, want <= depth+block slack", got)
 	}
-	series := rec.Query("g", 0, at(500))
-	if n := len(series[0].Points); n > 60 || n < 40 {
-		t.Errorf("retained points = %d, want ~50", n)
+	series := rec.Query("g", 0, at(1500))
+	if n := len(series[0].Points); n > 180 || n < 120 {
+		t.Errorf("retained points = %d, want ~150", n)
 	}
 	// Oldest retained frame must be recent: eviction really dropped data.
-	if first := series[0].Points[0].UnixNano; first < at(430).UnixNano() {
+	if first := series[0].Points[0].UnixNano; first < at(1290).UnixNano() {
 		t.Errorf("oldest frame at %d, eviction not happening", first)
 	}
 	if maxBytes == 0 {
@@ -128,13 +128,13 @@ func TestRecorderEvictionBounded(t *testing.T) {
 func TestRecorderWindowAcrossEvictionBoundaries(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "")
-	rec := NewRecorder(reg, Options{Depth: 50, BlockFrames: 10})
+	rec := NewRecorder(reg, Options{Depth: 150})
 	// Value == scrape index, so every decoded point self-identifies.
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 600; i++ {
 		g.Set(float64(i))
 		rec.Scrape(at(i))
 	}
-	now := at(199)
+	now := at(599)
 
 	check := func(name string, window time.Duration, wantFirst, wantLast int) {
 		t.Helper()
@@ -157,27 +157,27 @@ func TestRecorderWindowAcrossEvictionBoundaries(t *testing.T) {
 		}
 	}
 
-	// 200 scrapes with Depth 50 / BlockFrames 10 retain exactly frames
-	// 150..199 (eviction drops whole oldest blocks).
-	check("full history", 0, 150, 199)
-	// Window edge inside a block: cutoff t=174 is mid-block.
-	check("mid-block edge", 25*time.Second, 174, 199)
+	// 600 scrapes with Depth 150 in 30-frame blocks retain exactly
+	// frames 450..599 (eviction drops whole oldest blocks).
+	check("full history", 0, 450, 599)
+	// Window edge inside a block: cutoff t=524 is mid-block.
+	check("mid-block edge", 75*time.Second, 524, 599)
 	// Window edge exactly on a block boundary.
-	check("block-aligned edge", 19*time.Second, 180, 199)
+	check("block-aligned edge", 29*time.Second, 570, 599)
 	// Window reaching past evicted history clips to what is retained.
-	check("past evicted history", 120*time.Second, 150, 199)
+	check("past evicted history", 360*time.Second, 450, 599)
 
 	// Rate comes from the windowed points only: slope is 1/s throughout.
-	if s := rec.Query("g", 25*time.Second, now)[0]; math.Abs(s.Rate-1) > 1e-9 {
+	if s := rec.Query("g", 75*time.Second, now)[0]; math.Abs(s.Rate-1) > 1e-9 {
 		t.Errorf("windowed rate = %v, want 1", s.Rate)
 	}
 
 	// One more scrape pushes frames past Depth and evicts exactly one
-	// whole block: the oldest ten frames vanish together.
-	g.Set(200)
-	rec.Scrape(at(200))
-	now = at(200)
-	check("after block eviction", 0, 160, 200)
+	// whole block: the oldest thirty frames vanish together.
+	g.Set(600)
+	rec.Scrape(at(600))
+	now = at(600)
+	check("after block eviction", 0, 480, 600)
 }
 
 // TestRecorderHistogramDerivedSeries checks histograms flatten into
@@ -217,7 +217,7 @@ func TestRecorderHistogramDerivedSeries(t *testing.T) {
 func TestRecorderLateSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Gauge("a", "").Set(1)
-	rec := NewRecorder(reg, Options{BlockFrames: 4})
+	rec := NewRecorder(reg, Options{})
 	rec.Scrape(at(0))
 	rec.Scrape(at(1))
 	reg.Gauge("b", "").Set(7)
@@ -277,7 +277,7 @@ func TestRecorderVarsEndpoint(t *testing.T) {
 // concurrently; -race proves the locking story.
 func TestRecorderScrapeRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := NewRecorder(reg, Options{Depth: 64, BlockFrames: 8})
+	rec := NewRecorder(reg, Options{Depth: 64})
 	rec.Register(reg)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,9 +1,6 @@
 package mini
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Op is a bytecode opcode. The VM is stack-based; every instruction is an
 // opcode plus one int64 operand (ignored where unused), a fixed 4-byte
@@ -96,21 +93,4 @@ func (c *Chunk) PC(ip int) uint64 { return c.PCBase + uint64(ip)*instrBytes }
 type Compiled struct {
 	Chunks []*Chunk
 	Main   int // index of the entry function
-}
-
-// Disassemble renders the program's bytecode for debugging and tests.
-func (p *Compiled) Disassemble() string {
-	var sb strings.Builder
-	for _, c := range p.Chunks {
-		fmt.Fprintf(&sb, "fn %s (params=%d locals=%d pc=%x)\n",
-			c.Name, c.NumParams, c.NumLocals, c.PCBase)
-		for i, ins := range c.Code {
-			mark := " "
-			if c.BlockStart[i] {
-				mark = "*"
-			}
-			fmt.Fprintf(&sb, "%s %4d  %-9s %d\n", mark, i, ins.Op, ins.Arg)
-		}
-	}
-	return sb.String()
 }

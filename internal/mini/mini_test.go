@@ -1,9 +1,6 @@
 package mini
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func run(t *testing.T, src string, cfg Config) (int64, *VM) {
 	t.Helper()
@@ -256,19 +253,6 @@ func TestRuntimeErrors(t *testing.T) {
 		vm := NewVM(prog, Config{MaxSteps: 1_000_000})
 		if _, err := vm.Run(); err == nil {
 			t.Errorf("%s: ran without error", name)
-		}
-	}
-}
-
-func TestDisassemble(t *testing.T) {
-	prog, err := Compile("fn main() { let x = 1; while (x < 3) { x = x + 1; } return x; }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dis := prog.Disassemble()
-	for _, want := range []string{"fn main", "jumpifz", "ret"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
 		}
 	}
 }

@@ -185,12 +185,6 @@ func New(opt Options) *Tracer {
 	}
 }
 
-// SampleRate returns the configured 1-in-N head sampling rate.
-func (tr *Tracer) SampleRate() uint64 { return tr.opt.SampleRate }
-
-// SlowThreshold returns the slow-op promotion threshold.
-func (tr *Tracer) SlowThreshold() time.Duration { return tr.opt.SlowThreshold }
-
 // newIDs returns a fresh random trace ID. math/rand/v2's global generator
 // is goroutine-safe and unseedable-from-outside, which is exactly right:
 // IDs need uniqueness, not secrecy.

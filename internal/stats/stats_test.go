@@ -171,18 +171,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 50}, {50, 30}, {25, 20}, {-5, 10}, {110, 50},
-	}
-	for _, tc := range cases {
-		if got := Percentile(xs, tc.p); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
 func TestLog2Bucket(t *testing.T) {
 	cases := []struct {
 		v    uint64
@@ -194,29 +182,6 @@ func TestLog2Bucket(t *testing.T) {
 		if got := Log2Bucket(tc.v); got != tc.want {
 			t.Errorf("Log2Bucket(%d) = %d, want %d", tc.v, got, tc.want)
 		}
-	}
-}
-
-func TestLog2Histogram(t *testing.T) {
-	var h Log2Histogram
-	h.Add(0, 5)
-	h.Add(7, 5)   // bucket 3
-	h.Add(16, 10) // bucket 5
-	if h.Total != 20 {
-		t.Fatalf("Total = %d", h.Total)
-	}
-	if f := h.CumulativeFrac(0); math.Abs(f-0.25) > 1e-9 {
-		t.Fatalf("CumulativeFrac(0) = %v", f)
-	}
-	if f := h.CumulativeFrac(3); math.Abs(f-0.5) > 1e-9 {
-		t.Fatalf("CumulativeFrac(3) = %v", f)
-	}
-	if f := h.CumulativeFrac(64); f != 1 {
-		t.Fatalf("CumulativeFrac(64) = %v", f)
-	}
-	var empty Log2Histogram
-	if empty.CumulativeFrac(10) != 0 {
-		t.Fatal("empty histogram fraction not 0")
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary holds descriptive statistics of a float sample.
 type Summary struct {
@@ -32,46 +29,9 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics. It panics on an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty sample")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Log2Histogram buckets non-negative values by floor(log2(v)) with a
-// dedicated zero bucket: bucket 0 holds v == 0, bucket k holds
-// 2^(k-1) <= v < 2^k. It is the shape underlying the paper's
-// coverage-vs-log(range-width) plots (Figure 9).
-type Log2Histogram struct {
-	Counts [65]uint64
-	Total  uint64
-}
-
-// Add records value v with the given weight.
-func (h *Log2Histogram) Add(v uint64, weight uint64) {
-	h.Counts[Log2Bucket(v)] += weight
-	h.Total += weight
-}
-
-// Log2Bucket returns the histogram bucket for v: 0 for v==0, otherwise
-// bits.Len64-style 1+floor(log2 v).
+// Log2Bucket returns v's log2 width class, the x axis of the paper's
+// coverage-vs-log(range-width) plots (Figure 9): 0 for v == 0, otherwise
+// 1+floor(log2 v), so class k holds 2^(k-1) <= v < 2^k.
 func Log2Bucket(v uint64) int {
 	b := 0
 	for v > 0 {
@@ -79,16 +39,4 @@ func Log2Bucket(v uint64) int {
 		v >>= 1
 	}
 	return b
-}
-
-// CumulativeFrac returns the fraction of total weight in buckets <= k.
-func (h *Log2Histogram) CumulativeFrac(k int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var s uint64
-	for i := 0; i <= k && i < len(h.Counts); i++ {
-		s += h.Counts[i]
-	}
-	return float64(s) / float64(h.Total)
 }

@@ -49,17 +49,6 @@ func NextBatch(src Source, dst []Event) int {
 	return 1
 }
 
-// Sink consumes events one at a time.
-type Sink interface {
-	Consume(Event)
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Consume implements Sink.
-func (f SinkFunc) Consume(e Event) { f(e) }
-
 // SliceSource yields the given values in order, each with weight 1.
 type SliceSource struct {
 	values []uint64
@@ -146,20 +135,6 @@ func (l *limitSource) NextBatch(dst []Event) int {
 	n := NextBatch(l.src, dst)
 	l.left -= uint64(n)
 	return n
-}
-
-// Pump drains src into sink and returns the number of events (total
-// weight) moved.
-func Pump(src Source, sink Sink) uint64 {
-	var n uint64
-	for {
-		e, ok := src.Next()
-		if !ok {
-			return n
-		}
-		n += e.Weight
-		sink.Consume(e)
-	}
 }
 
 // Collect drains src into a slice of events (for tests and small traces).

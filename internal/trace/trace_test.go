@@ -41,14 +41,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestPump(t *testing.T) {
-	var sum uint64
-	n := Pump(NewSliceSource([]uint64{5, 6, 7}), SinkFunc(func(e Event) { sum += e.Value }))
-	if n != 3 || sum != 18 {
-		t.Fatalf("Pump moved %d weight, sum %d", n, sum)
-	}
-}
-
 func TestCoalescingBufferMergesWindow(t *testing.T) {
 	vals := []uint64{1, 1, 1, 2, 2, 3, 4, 4}
 	b := NewCoalescingBuffer(NewSliceSource(vals), 8)
