@@ -174,22 +174,31 @@ func measureJSON(name string, o experiments.Options) (jsonResult, error) {
 }
 
 func runJSON(w io.Writer, name string, o experiments.Options) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	if name == "all" {
-		doc := jsonDoc{Tool: "rapbench", GoVersion: runtime.Version()}
+		var results []jsonResult
 		for _, sub := range order {
 			res, err := measureJSON(sub, o)
 			if err != nil {
 				return fmt.Errorf("%s: %w", sub, err)
 			}
-			doc.Experiments = append(doc.Experiments, res)
+			results = append(results, res)
 		}
-		return enc.Encode(doc)
+		return writeDoc(w, results)
 	}
 	res, err := measureJSON(name, o)
 	if err != nil {
 		return err
 	}
-	return enc.Encode(res)
+	return writeJSON(w, res)
+}
+
+// writeDoc writes the combined document `all` emits.
+func writeDoc(w io.Writer, results []jsonResult) error {
+	return writeJSON(w, jsonDoc{Tool: "rapbench", GoVersion: runtime.Version(), Experiments: results})
+}
+
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

@@ -191,13 +191,13 @@ func (a *admin) v1Estimate(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("epoch_seq", strconv.FormatUint(e.Seq(), 10))
 	}
 	est := a.tracer.StartChild(sp.Context(), "estimate")
+	// The point estimate is the low end of this same walk.
 	low, high := e.EstimateBounds(lo, hi)
-	point := e.Estimate(lo, hi)
 	est.End()
 	enc := a.tracer.StartChild(sp.Context(), "encode")
 	writeEpochJSON(w, e, estimateResponse{
 		Lo: lo, Hi: hi,
-		Estimate: point,
+		Estimate: low,
 		Low:      low,
 		High:     high,
 		Epoch:    epochInfoOf(e),

@@ -87,8 +87,8 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	if est.Epoch.Seq == 0 {
 		t.Fatalf("epoch seq 0 from the epoch read path:\n%s", body)
 	}
-	if est.Low > est.High || est.Estimate > est.High {
-		t.Fatalf("bracket inverted: estimate=%d low=%d high=%d", est.Estimate, est.Low, est.High)
+	if est.Low > est.High || est.Estimate != est.Low {
+		t.Fatalf("want estimate == low <= high: estimate=%d low=%d high=%d", est.Estimate, est.Low, est.High)
 	}
 	// Full-universe upper bound is the cut's event count.
 	if est.High != est.Epoch.CutEvents {

@@ -193,10 +193,11 @@ func (ss *SpaceSaving) Add(p uint64) {
 		ss.items[p] = &ssEntry{value: p, count: 1}
 		return
 	}
-	// Replace the minimum counter.
+	// Replace the minimum counter, the smallest value among equal counts,
+	// so the choice does not depend on map iteration order.
 	var min *ssEntry
 	for _, e := range ss.items {
-		if min == nil || e.count < min.count {
+		if min == nil || e.count < min.count || e.count == min.count && e.value < min.value {
 			min = e
 		}
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +175,22 @@ func TestSpaceSavingGuarantee(t *testing.T) {
 		if c > guarantee && !monitored[v] {
 			t.Fatalf("value %d with count %d > n/m=%d not monitored", v, c, guarantee)
 		}
+	}
+}
+
+// TestSpaceSavingDeterministic: evictions on a stream full of count ties
+// do not depend on map iteration order, so two sketches fed the same
+// stream report the same entries.
+func TestSpaceSavingDeterministic(t *testing.T) {
+	rng := stats.NewSplitMix64(5)
+	a, b := NewSpaceSaving(16), NewSpaceSaving(16)
+	for i := 0; i < 10_000; i++ {
+		v := rng.Uint64() % 64 // 64 values contending for 16 counters
+		a.Add(v)
+		b.Add(v)
+	}
+	if ea, eb := a.Entries(), b.Entries(); !reflect.DeepEqual(ea, eb) {
+		t.Fatalf("same stream, different entries:\n%v\n%v", ea, eb)
 	}
 }
 

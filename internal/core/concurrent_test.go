@@ -128,8 +128,6 @@ func TestConcurrentSnapshotRestore(t *testing.T) {
 		t.Fatal("restored stats missing arena footprint")
 	}
 	got.ArenaBytes, want.ArenaBytes = 0, 0
-	got.CounterPoolBytes, want.CounterPoolBytes = 0, 0
-	got.CounterPromotions, want.CounterPromotions = 0, 0
 	got.DescentLevels, want.DescentLevels = 0, 0
 	got.StartTableBytes, want.StartTableBytes = 0, 0
 	if got != want {
@@ -444,18 +442,17 @@ func TestConcurrentTreeRestoreRepublishes(t *testing.T) {
 	}
 }
 
-// TestCounterPromotionEpochHammer runs promotion-heavy weighted feeders
+// TestCounterPromotionEpochHammer runs spill-heavy weighted feeders
 // against pinned epoch readers under the race detector. The feeders hammer
-// a small hot set with weights sized so 8- and 16-bit counters overflow
-// (and therefore promote, releasing and reallocating pool slots)
-// continuously; the readers hold pinned epochs and require them frozen —
-// same answer for the same query, full-universe mass equal to the epoch's
-// N. If Clone ever aliased counter-pool storage instead of deep-copying
-// it, the writer's in-class increments and promotions would race these
-// reads and -race would flag it.
+// a small hot set with weights sized so counters keep reaching 2^31 and
+// spilling, and keep adding to spilled counters in place; the readers
+// hold pinned epochs and require them frozen — same answer for the same
+// query, full-universe mass equal to the epoch's N. If Clone ever aliased
+// the spill slab instead of copying it, the writer's adds and spills
+// would race these reads and -race would flag it.
 func TestCounterPromotionEpochHammer(t *testing.T) {
 	cfg := core.TestConfig(20, 4, 0.05)
-	cfg.FirstMerge = 64 // merge batches churn the pools between publishes
+	cfg.FirstMerge = 64 // merge batches rebuild the spill slab between publishes
 	c := concurrent(t, cfg)
 	c.EnableReadSnapshots(128)
 
@@ -468,11 +465,11 @@ func TestCounterPromotionEpochHammer(t *testing.T) {
 			defer wg.Done()
 			samples := make([]core.Sample, 0, 64)
 			for i := 0; i < each; i++ {
-				// Hot set of 16 points with weights around the 8-bit
-				// boundary: counters cross 255 every couple of updates.
+				// Hot set of 16 points with weights near 2^24: a fresh
+				// counter spills after about 128 updates.
 				samples = append(samples, core.Sample{
 					Value:  uint64(i % 16 << 14),
-					Weight: uint64(100 + i%200),
+					Weight: 1<<24 + uint64(i%200),
 				})
 				// Cold spread keeps splits and merges churning structure.
 				samples = append(samples, core.Sample{
@@ -506,7 +503,7 @@ func TestCounterPromotionEpochHammer(t *testing.T) {
 					t.Errorf("pinned epoch leaks mass: full estimate %d, N %d", full, n)
 				}
 				// Re-reads of a frozen epoch are bit-stable even while the
-				// writer promotes the same logical counters.
+				// writer spills the same logical counters.
 				hot := e.Estimate(0, 1<<16-1)
 				if again := e.Estimate(0, 1<<16-1); again != hot {
 					t.Errorf("pinned epoch answer moved: %d -> %d", hot, again)
@@ -523,9 +520,15 @@ func TestCounterPromotionEpochHammer(t *testing.T) {
 	stop.Store(true)
 	qwg.Wait()
 
-	st := c.Stats()
-	if st.CounterPromotions == 0 {
-		t.Fatal("hammer drove no promotions; weights are mistuned")
+	spilled := false
+	c.WithShard(0, func(tr *core.Tree) {
+		tr.Walk(func(ni core.NodeInfo) bool {
+			spilled = ni.Count >= 1<<31
+			return !spilled
+		})
+	})
+	if !spilled {
+		t.Fatal("hammer spilled no counters; weights are mistuned")
 	}
 	c.PublishNow() // the cadence counts samples, not weight: catch up
 	if full := c.Estimate(0, 1<<20-1); full != c.N() {

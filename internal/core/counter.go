@@ -1,289 +1,80 @@
 package core
 
-import "math"
-
-// Counter pools. Under skewed streams the overwhelming majority of node
-// counters are tiny — a zipfian profile at 2M events carries thousands of
-// leaves holding a handful of events each and only a few dozen counters
-// that ever exceed 16 bits — yet the pre-pool layout spent a full 64-bit
-// word on every one of them. Following the SALSA / Counter Pools line of
-// work, counters now live outside the node in four per-tree pools, one per
-// width class (8, 16, 32, 64 bits). A node carries a 32-bit counter
-// reference (cref) packing the class in the top two bits and the pool slot
-// in the low thirty; it starts life in the 8-bit class and is promoted in
-// place to the next class that fits whenever an addition would overflow
-// its current width.
+// Counters. A node's counter lives in the node itself: the 32-bit count
+// word holds the value while it is below 2^31, so on a stream of fewer
+// than 2^31 events no counter ever leaves its node. A counter that
+// reaches 2^31 spills: its word becomes spillBit|slot, naming a 64-bit
+// cell of the tree's spill slab, and it stays there. This is the
+// start-small, widen-on-overflow rule of SALSA and Counter Pools
+// (PAPERS.md) with one step instead of a ladder, since the inline word
+// costs no more than a reference to a pooled counter would.
 //
-// Promotion is a representation change, not an approximation change: the
-// exact value is copied to the wider slot, so estimates, snapshot bytes,
-// the ε·n analysis, and the unadmitted ledger are all bit-identical to a
-// tree that kept 64-bit counters throughout (NewWide builds exactly that
-// reference layout, and the equivalence fuzzer holds the two to identical
-// snapshots across every promotion boundary).
+// Spilling changes representation, never values: estimates, snapshot
+// bytes and the unadmitted ledger are bit-identical to a tree that keeps
+// every counter at 64 bits. NewWide builds exactly that reference layout
+// by spilling every counter from birth, and the equivalence fuzzer holds
+// the two to identical snapshots across 2^31 and 2^32.
 //
-// The pools share the arena's lifecycle machinery: freed slots (a node
-// folded away by a merge, or the narrow slot abandoned by a promotion) go
-// on a per-class freelist and are recycled by later allocations, and the
-// merge-batch compaction pass rebuilds the pools densely in DFS order
-// right beside the node slab, so a merge batch genuinely releases counter
-// memory too.
+// Spill slots are never freed one by one. A spilled counter only goes
+// away when a merge batch folds its node into the parent, and every merge
+// batch ends in compact, which rebuilds the slab densely in DFS order
+// beside the node slab.
 
-const (
-	// crefNone is the "no counter" sentinel, carried by dead slots. It is
-	// never a valid reference: it would name slot 2^30-1 of the 64-bit
-	// pool, which would require an 8 GiB pool to exist.
-	crefNone = ^uint32(0)
+// spillBit marks a count word that names a spill slot rather than holding
+// the counter; the low 31 bits are the slot.
+const spillBit = 1 << 31
 
-	// crefIdxBits splits a cref into class (top 2 bits) and pool index.
-	crefIdxBits = 30
-	crefIdxMask = uint32(1)<<crefIdxBits - 1
-
-	// counterClasses is the number of width classes in the promotion
-	// ladder: 8, 16, 32, 64 bits.
-	counterClasses = 4
-
-	// classWide is the widest (64-bit) class; NewWide allocates every
-	// counter here so the ladder degenerates to the pre-pool layout.
-	classWide = counterClasses - 1
-)
-
-// classMax[k] is the largest value class k can hold.
-var classMax = [counterClasses]uint64{
-	math.MaxUint8, math.MaxUint16, math.MaxUint32, math.MaxUint64,
-}
-
-// classBytes[k] is the storage cost of one class-k slot.
-var classBytes = [counterClasses]int{1, 2, 4, 8}
-
-// classFor returns the narrowest class that holds v.
-func classFor(v uint64) uint32 {
-	switch {
-	case v <= math.MaxUint8:
-		return 0
-	case v <= math.MaxUint16:
-		return 1
-	case v <= math.MaxUint32:
-		return 2
-	default:
-		return classWide
+// newCount returns the count word for a new counter holding v: v itself
+// while it fits inline, else a fresh spill slot (always, on a wide tree).
+func (t *Tree) newCount(v uint64) uint32 {
+	if v < spillBit && !t.wideCounters {
+		return uint32(v)
 	}
-}
-
-// counterPool is the four width-class slabs plus their freelists. The
-// zero value is an empty pool ready for use.
-type counterPool struct {
-	w8  []uint8
-	w16 []uint16
-	w32 []uint32
-	w64 []uint64
-	// free holds recycled slots per class: a promotion abandons its
-	// narrow slot, a merge folds a node's counter away. Compaction drops
-	// the freelists wholesale along with the fragmentation they track.
-	free [counterClasses][]uint32
-}
-
-// alloc places v in a class-cls slot (reusing a freed slot when one
-// exists) and returns the packed reference. The caller guarantees v fits
-// the class.
-func (p *counterPool) alloc(cls uint32, v uint64) uint32 {
-	if fl := p.free[cls]; len(fl) > 0 {
-		idx := fl[len(fl)-1]
-		p.free[cls] = fl[:len(fl)-1]
-		p.set(cls, idx, v)
-		return cls<<crefIdxBits | idx
+	if len(t.spill) >= spillBit {
+		// 2^31 spilled counters is 16 GiB of slab behind a 24 GiB arena.
+		panic("core: counter spill slab exhausted")
 	}
-	var idx uint32
-	switch cls {
-	case 0:
-		idx = uint32(len(p.w8))
-		p.w8 = append(p.w8, uint8(v))
-	case 1:
-		idx = uint32(len(p.w16))
-		p.w16 = append(p.w16, uint16(v))
-	case 2:
-		idx = uint32(len(p.w32))
-		p.w32 = append(p.w32, uint32(v))
-	default:
-		idx = uint32(len(p.w64))
-		p.w64 = append(p.w64, v)
-	}
-	if idx > crefIdxMask {
-		// 2^30 slots of one class is >1 GiB of counters; the arena's
-		// uint32 slot space would overflow long before this can happen.
-		panic("core: counter pool exhausted")
-	}
-	return cls<<crefIdxBits | idx
-}
-
-// value reads the counter behind cref.
-func (p *counterPool) value(cref uint32) uint64 {
-	idx := cref & crefIdxMask
-	switch cref >> crefIdxBits {
-	case 0:
-		return uint64(p.w8[idx])
-	case 1:
-		return uint64(p.w16[idx])
-	case 2:
-		return uint64(p.w32[idx])
-	default:
-		return p.w64[idx]
-	}
-}
-
-// set overwrites slot idx of class cls. The caller guarantees v fits.
-func (p *counterPool) set(cls, idx uint32, v uint64) {
-	switch cls {
-	case 0:
-		p.w8[idx] = uint8(v)
-	case 1:
-		p.w16[idx] = uint16(v)
-	case 2:
-		p.w32[idx] = uint32(v)
-	default:
-		p.w64[idx] = v
-	}
-}
-
-// release returns cref's slot to its class freelist. The slot's stale
-// value is left in place; alloc overwrites it on reuse.
-func (p *counterPool) release(cref uint32) {
-	cls := cref >> crefIdxBits
-	p.free[cls] = append(p.free[cls], cref&crefIdxMask)
-}
-
-// bytes is the physical footprint of the pool slabs (capacity, including
-// growth slack and freed slots awaiting reuse — the same accounting rule
-// Tree.ArenaBytes applies to the node slab).
-func (p *counterPool) bytes() int {
-	return cap(p.w8) + 2*cap(p.w16) + 4*cap(p.w32) + 8*cap(p.w64)
-}
-
-// live returns the number of occupied slots in class cls.
-func (p *counterPool) live(cls int) int {
-	var n int
-	switch cls {
-	case 0:
-		n = len(p.w8)
-	case 1:
-		n = len(p.w16)
-	case 2:
-		n = len(p.w32)
-	default:
-		n = len(p.w64)
-	}
-	return n - len(p.free[cls])
-}
-
-// clone returns a deep copy sharing no storage with p. Epoch publication
-// clones the whole tree; aliased pools would let the writer's promotions
-// race readers of the published snapshot.
-func (p *counterPool) clone() counterPool {
-	np := counterPool{
-		w8:  append([]uint8(nil), p.w8...),
-		w16: append([]uint16(nil), p.w16...),
-		w32: append([]uint32(nil), p.w32...),
-		w64: append([]uint64(nil), p.w64...),
-	}
-	for k, fl := range p.free {
-		np.free[k] = append([]uint32(nil), fl...)
-	}
-	return np
-}
-
-// counterAlloc allocates a pool slot for value v at the tree's ladder
-// entry class: the narrowest class that fits, or the 64-bit class on a
-// wide-layout tree.
-func (t *Tree) counterAlloc(v uint64) uint32 {
-	cls := classFor(v)
-	if t.wideCounters {
-		cls = classWide
-	}
-	return t.pool.alloc(cls, v)
+	t.spill = append(t.spill, v)
+	return spillBit | uint32(len(t.spill)-1)
 }
 
 // count reads slot vi's counter. The slot must be live.
 func (t *Tree) count(vi uint32) uint64 {
-	return t.pool.value(t.arena[vi].cref)
+	c := t.arena[vi].count
+	if c&spillBit == 0 {
+		return uint64(c)
+	}
+	return t.spill[c&^spillBit]
 }
 
-// addCount adds weight to slot vi's counter, promoting it to a wider
-// class when the addition overflows the current one, and returns the new
-// value. Promotion preserves the exact count; only the representation
-// widens. addCount touches the pools but never the arena, so node
-// pointers held by the caller stay valid.
+// addCount adds weight to slot vi's counter, spilling it when the sum
+// reaches 2^31, and returns the new value. It may grow the spill slab but
+// never the arena, so node pointers held by the caller stay valid.
 func (t *Tree) addCount(vi uint32, weight uint64) uint64 {
 	v := &t.arena[vi]
-	cref := v.cref
-	cls, idx := cref>>crefIdxBits, cref&crefIdxMask
-	switch cls {
-	case 0:
-		nv := uint64(t.pool.w8[idx]) + weight
-		if nv <= math.MaxUint8 {
-			t.pool.w8[idx] = uint8(nv)
-			return nv
-		}
-		t.promote(v, cref, nv)
-		return nv
-	case 1:
-		nv := uint64(t.pool.w16[idx]) + weight
-		if nv <= math.MaxUint16 {
-			t.pool.w16[idx] = uint16(nv)
-			return nv
-		}
-		t.promote(v, cref, nv)
-		return nv
-	case 2:
-		nv := uint64(t.pool.w32[idx]) + weight
-		if nv <= math.MaxUint32 {
-			t.pool.w32[idx] = uint32(nv)
-			return nv
-		}
-		t.promote(v, cref, nv)
-		return nv
-	default:
-		t.pool.w64[idx] += weight
-		return t.pool.w64[idx]
+	if v.count&spillBit != 0 {
+		s := &t.spill[v.count&^spillBit]
+		*s += weight
+		return *s
 	}
+	nv := uint64(v.count) + weight
+	if nv < spillBit {
+		v.count = uint32(nv)
+	} else {
+		v.count = t.newCount(nv)
+	}
+	return nv
 }
 
-// promote moves v's counter (new value nv, which overflowed its current
-// class) into the narrowest class that fits, releasing the old slot. A
-// weighted update can jump classes — AddN(p, 1<<20) promotes an 8-bit
-// counter straight to 32 bits — so the target is derived from the value,
-// not ladder-adjacent.
-func (t *Tree) promote(v *node, old uint32, nv uint64) {
-	ncls := classFor(nv)
-	t.pool.release(old)
-	v.cref = t.pool.alloc(ncls, nv)
-	t.promotions++
-	t.promoted[ncls]++
-}
-
-// setCount overwrites slot vi's counter with val, reallocating the pool
-// slot if the current class does not match val's ladder class. Decode and
-// structural-merge paths use it; the hot path goes through addCount.
+// setCount overwrites slot vi's counter with val: in place when the
+// counter is spilled and val still needs the slot, otherwise as a new
+// count word. The decode path uses it on fresh slots, where the only
+// spilled counter is a wide tree's root.
 func (t *Tree) setCount(vi uint32, val uint64) {
 	v := &t.arena[vi]
-	cls := classFor(val)
-	if t.wideCounters {
-		cls = classWide
+	if v.count&spillBit != 0 && (val >= spillBit || t.wideCounters) {
+		t.spill[v.count&^spillBit] = val
+		return
 	}
-	if v.cref != crefNone {
-		if v.cref>>crefIdxBits == cls {
-			t.pool.set(cls, v.cref&crefIdxMask, val)
-			return
-		}
-		t.pool.release(v.cref)
-	}
-	v.cref = t.pool.alloc(cls, val)
-}
-
-// counterRelease frees slot vi's counter (the node is being folded away)
-// and marks the reference empty.
-func (t *Tree) counterRelease(vi uint32) {
-	v := &t.arena[vi]
-	if v.cref != crefNone {
-		t.pool.release(v.cref)
-		v.cref = crefNone
-	}
+	v.count = t.newCount(val)
 }

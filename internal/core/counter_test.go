@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // noStructure returns a config whose thresholds keep the tree a single
@@ -11,106 +12,95 @@ import (
 // merges moving counts around.
 func noStructure() Config {
 	cfg := testConfig(32, 4, 0.05)
-	cfg.MinSplitCount = 1 << 40
-	cfg.FirstMerge = 1 << 40
+	cfg.MinSplitCount = 1 << 62
+	cfg.FirstMerge = 1 << 62
 	return cfg
 }
 
-func TestClassFor(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want uint32
-	}{
-		{0, 0}, {1, 0}, {255, 0},
-		{256, 1}, {65535, 1},
-		{65536, 2}, {math.MaxUint32, 2},
-		{math.MaxUint32 + 1, 3}, {math.MaxUint64, 3},
-	}
-	for _, tc := range cases {
-		if got := classFor(tc.v); got != tc.want {
-			t.Errorf("classFor(%d) = %d, want %d", tc.v, got, tc.want)
+// checkSpills requires every live counter of tr to be spilled exactly
+// when the layout says it must be: always on a wide tree, and on an
+// inline tree exactly when its value has reached 2^31 (values never
+// shrink short of a wrap, which these streams stay far from). Each
+// spilled counter must name its own in-range slot.
+func checkSpills(tb testing.TB, tr *Tree) {
+	tb.Helper()
+	owner := make(map[uint32]uint32)
+	var visit func(vi uint32)
+	visit = func(vi uint32) {
+		v := &tr.arena[vi]
+		spilled := v.count&spillBit != 0
+		if want := tr.wideCounters || tr.count(vi) >= spillBit; spilled != want {
+			tb.Fatalf("slot %d: count %d spilled=%v, want %v", vi, tr.count(vi), spilled, want)
 		}
+		if spilled {
+			s := v.count &^ spillBit
+			if int(s) >= len(tr.spill) {
+				tb.Fatalf("slot %d names spill slot %d of %d", vi, s, len(tr.spill))
+			}
+			if o, dup := owner[s]; dup {
+				tb.Fatalf("slots %d and %d share spill slot %d", o, vi, s)
+			}
+			owner[s] = vi
+		}
+		if v.childBase == nilIdx {
+			return
+		}
+		for i := 0; i < tr.fanout(v.plen); i++ {
+			if ci := v.childBase + uint32(i); !tr.arena[ci].dead {
+				visit(ci)
+			}
+		}
+	}
+	visit(0)
+}
+
+// TestNodeIs12Bytes pins the node layout: the count word, the children
+// base and four bytes of geometry and flags.
+func TestNodeIs12Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 12 {
+		t.Fatalf("node is %d bytes, want 12", got)
 	}
 }
 
-// TestCounterPromotionLadder walks one counter up the full ladder through
-// the exact overflow boundaries, checking the value stays exact and the
-// occupancy/promotion stats track each step.
+// TestCounterPromotionLadder walks one counter through its single
+// promotion, the spill at 2^31, and on past 2^32, checking the value
+// stays exact and the counter leaves its node exactly at the boundary.
 func TestCounterPromotionLadder(t *testing.T) {
 	tr := MustNew(noStructure())
 	max := ^uint64(0) >> (64 - 32)
 
-	step := func(add, wantTotal uint64, wantPromotions uint64, want8, want16, want32, want64 int) {
+	step := func(add, wantTotal uint64, wantSpilled bool) {
 		t.Helper()
 		tr.AddN(0, add)
 		if got := tr.Estimate(0, max); got != wantTotal {
 			t.Fatalf("after +%d: total %d, want %d", add, got, wantTotal)
 		}
-		st := tr.Stats()
-		if st.CounterPromotions != wantPromotions {
-			t.Fatalf("after +%d: promotions %d, want %d", add, st.CounterPromotions, wantPromotions)
+		wantSlots := 0
+		if wantSpilled {
+			wantSlots = 1
 		}
-		if st.CounterSlots8 != want8 || st.CounterSlots16 != want16 ||
-			st.CounterSlots32 != want32 || st.CounterSlots64 != want64 {
-			t.Fatalf("after +%d: slots (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-				add, st.CounterSlots8, st.CounterSlots16, st.CounterSlots32, st.CounterSlots64,
-				want8, want16, want32, want64)
+		if spilled := tr.arena[0].count&spillBit != 0; spilled != wantSpilled || len(tr.spill) != wantSlots {
+			t.Fatalf("after +%d: spilled=%v with %d slots, want %v with %d",
+				add, spilled, len(tr.spill), wantSpilled, wantSlots)
 		}
 	}
 
-	step(255, 255, 0, 1, 0, 0, 0)                             // fills the 8-bit slot exactly
-	step(1, 256, 1, 0, 1, 0, 0)                               // 255 -> 256 crosses into 16 bits
-	step(65535-256, 65535, 1, 0, 1, 0, 0)                     // fills 16 bits exactly
-	step(1, 65536, 2, 0, 0, 1, 0)                             // crosses into 32 bits
-	step(math.MaxUint32-65536, math.MaxUint32, 2, 0, 0, 1, 0) // fills 32 bits
-	step(1, math.MaxUint32+1, 3, 0, 0, 0, 1)                  // crosses into 64 bits
-}
+	step(math.MaxUint32>>1, math.MaxUint32>>1, false) // 2^31-1 fits inline
+	step(1, 1<<31, true)                              // reaching 2^31 spills
+	step(1<<31-1, math.MaxUint32, true)               // 2^32-1 in the same slot
+	step(1, 1<<32, true)                              // past 32 bits, same slot
 
-// TestCounterPromotionSkipsClasses: a weighted update can overflow several
-// classes at once; the target class is derived from the value, not
-// ladder-adjacent.
-func TestCounterPromotionSkipsClasses(t *testing.T) {
-	tr := MustNew(noStructure())
-	tr.AddN(0, 1<<20)
-	st := tr.Stats()
-	if st.CounterPromotions != 1 || st.CounterSlots32 != 1 || st.CounterSlots16 != 0 {
-		t.Fatalf("stats after jump add: %+v", st)
-	}
-
-	tr2 := MustNew(noStructure())
-	tr2.AddN(0, 1<<40)
-	if st := tr2.Stats(); st.CounterPromotions != 1 || st.CounterSlots64 != 1 {
-		t.Fatalf("stats after 64-bit jump add: %+v", st)
+	// One weighted add can carry a fresh counter past 2^32 at once.
+	jump := MustNew(noStructure())
+	jump.AddN(0, 1<<40)
+	if got := jump.count(0); got != 1<<40 || len(jump.spill) != 1 {
+		t.Fatalf("jump add: count %d with %d spill slots", got, len(jump.spill))
 	}
 }
 
-// TestCounterPoolFreelistReuse: released slots are recycled before the
-// slab grows, so promote/fold churn does not leak pool memory.
-func TestCounterPoolFreelistReuse(t *testing.T) {
-	var p counterPool
-	a := p.alloc(0, 5)
-	b := p.alloc(0, 9)
-	if len(p.w8) != 2 {
-		t.Fatalf("w8 len = %d, want 2", len(p.w8))
-	}
-	p.release(a)
-	c := p.alloc(0, 7)
-	if c != a {
-		t.Fatalf("alloc after release returned %#x, want recycled %#x", c, a)
-	}
-	if p.value(c) != 7 || p.value(b) != 9 {
-		t.Fatalf("values after reuse: %d, %d", p.value(c), p.value(b))
-	}
-	if len(p.w8) != 2 {
-		t.Fatalf("w8 grew to %d despite free slot", len(p.w8))
-	}
-	if p.live(0) != 2 {
-		t.Fatalf("live(0) = %d, want 2", p.live(0))
-	}
-}
-
-// TestNewWidePinsCounters: the reference layout allocates every counter in
-// the 64-bit class and never promotes — it is the pre-pool storage model.
+// TestNewWidePinsCounters: the reference layout spills every counter from
+// birth, so after a merge batch its spill slab holds one 8-byte cell per
+// live node.
 func TestNewWidePinsCounters(t *testing.T) {
 	cfg := testConfig(16, 4, 0.05)
 	cfg.FirstMerge = 64
@@ -121,95 +111,81 @@ func TestNewWidePinsCounters(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		tr.Add(uint64(i % 997))
 	}
-	st := tr.Stats()
-	if st.CounterSlots8 != 0 || st.CounterSlots16 != 0 || st.CounterSlots32 != 0 {
-		t.Fatalf("wide tree has narrow counters: %+v", st)
+	checkSpills(t, tr)
+	tr.MergeNow()
+	checkSpills(t, tr)
+	if len(tr.spill) != tr.nodes || cap(tr.spill) != tr.nodes {
+		t.Fatalf("wide tree spill len %d cap %d, nodes %d", len(tr.spill), cap(tr.spill), tr.nodes)
 	}
-	if st.CounterSlots64 != st.Nodes {
-		t.Fatalf("wide tree slots64 %d != nodes %d", st.CounterSlots64, st.Nodes)
-	}
-	if st.CounterPromotions != 0 {
-		t.Fatalf("wide tree promoted %d times", st.CounterPromotions)
-	}
-	if st.CounterPoolBytes < 8*st.Nodes {
-		t.Fatalf("wide pool bytes %d below 8 B/node", st.CounterPoolBytes)
+	if st := tr.Stats(); st.ArenaBytes < 20*st.Nodes {
+		t.Fatalf("wide arena %d B below 20 B/node over %d nodes", st.ArenaBytes, st.Nodes)
 	}
 }
 
-// TestPackedDensityBeatsWide: on a skewed stream the packed layout must
+// TestPackedDensityBeatsWide: on a skewed stream the inline layout must
 // use strictly less backing store than the wide reference for the same
-// logical tree — the point of the whole exercise.
+// logical tree.
 func TestPackedDensityBeatsWide(t *testing.T) {
 	cfg := testConfig(32, 4, 0.05)
 	cfg.FirstMerge = 256
-	packed := MustNew(cfg)
+	inline := MustNew(cfg)
 	wide, _ := NewWide(cfg)
 	zipfLike := func(i int) uint64 { return uint64(i*i) % (1 << 20) }
 	for i := 0; i < 100_000; i++ {
 		p := zipfLike(i)
-		packed.Add(p)
+		inline.Add(p)
 		wide.Add(p)
 	}
-	ps, ws := packed.Stats(), wide.Stats()
+	ps, ws := inline.Stats(), wide.Stats()
 	if ps.Nodes != ws.Nodes {
 		t.Fatalf("structures diverged: %d vs %d nodes", ps.Nodes, ws.Nodes)
 	}
-	if ps.CounterPoolBytes >= ws.CounterPoolBytes {
-		t.Fatalf("packed pool %d B not denser than wide pool %d B",
-			ps.CounterPoolBytes, ws.CounterPoolBytes)
+	if ps.ArenaBytes >= ws.ArenaBytes {
+		t.Fatalf("inline arena %d B not denser than wide arena %d B",
+			ps.ArenaBytes, ws.ArenaBytes)
 	}
 }
 
 // TestMicroZipfDensity is the deterministic gate on counter storage. On
-// 2M events of the micro Zipf stream at DefaultConfig, the packed layout
-// must hold at most 16.29 B per live node (10% over the 14.81 it reads)
+// 2M events of the micro Zipf stream at DefaultConfig, the inline layout
+// must hold at most 13.73 B per live node (10% over the 12.48 it reads)
 // and its arena must be at least 1.5× smaller than the 64-bit reference
-// layout's (1.59× measured), while the two answer every probe and
+// layout's (1.89× measured), while the two answer every probe and
 // serialize byte for byte alike.
 func TestMicroZipfDensity(t *testing.T) {
 	const n = 2_000_000
 	points := microZipf()
-	packed := MustNew(DefaultConfig())
+	inline := MustNew(DefaultConfig())
 	wide, err := NewWide(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		p := points[i&(len(points)-1)]
-		packed.Add(p)
+		inline.Add(p)
 		wide.Add(p)
 	}
-	ps, ws := packed.Stats(), wide.Stats()
+	ps, ws := inline.Stats(), wide.Stats()
 	perNode := float64(ps.ArenaBytes) / float64(ps.Nodes)
 	gain := float64(ws.ArenaBytes) / float64(ps.ArenaBytes)
-	t.Logf("packed %d B / %d nodes = %.2f B/node; wide %d B; gain %.2fx; pools %d < %d B; %d promotions",
-		ps.ArenaBytes, ps.Nodes, perNode, ws.ArenaBytes, gain,
-		ps.CounterPoolBytes, ws.CounterPoolBytes, ps.CounterPromotions)
-	if perNode > 16.29 {
-		t.Errorf("packed arena %.2f B/node, want <= 16.29", perNode)
+	t.Logf("inline %d B / %d nodes = %.2f B/node; wide %d B; gain %.2fx",
+		ps.ArenaBytes, ps.Nodes, perNode, ws.ArenaBytes, gain)
+	if perNode > 13.73 {
+		t.Errorf("inline arena %.2f B/node, want <= 13.73", perNode)
 	}
 	if gain < 1.5 {
-		t.Errorf("wide/packed arena %.2fx, want >= 1.5", gain)
-	}
-	if ps.CounterPoolBytes >= ws.CounterPoolBytes {
-		t.Errorf("packed pool %d B not smaller than wide pool %d B", ps.CounterPoolBytes, ws.CounterPoolBytes)
-	}
-	if ps.CounterPromotions == 0 {
-		t.Error("the stream promoted no counters")
-	}
-	if live := ps.CounterSlots8 + ps.CounterSlots16 + ps.CounterSlots32 + ps.CounterSlots64; live != ps.Nodes {
-		t.Errorf("%d live counters for %d nodes", live, ps.Nodes)
+		t.Errorf("wide/inline arena %.2fx, want >= 1.5", gain)
 	}
 	for _, q := range [][2]uint64{
 		{0, 1<<20 - 1}, {0, 255}, {1 << 10, 1 << 14}, {1 << 19, 1<<20 - 1}, {7, 7},
 	} {
-		pl, ph := packed.EstimateBounds(q[0], q[1])
+		pl, ph := inline.EstimateBounds(q[0], q[1])
 		wl, wh := wide.EstimateBounds(q[0], q[1])
 		if pl != wl || ph != wh {
-			t.Errorf("[%d,%d]: packed bounds [%d,%d], wide [%d,%d]", q[0], q[1], pl, ph, wl, wh)
+			t.Errorf("[%d,%d]: inline bounds [%d,%d], wide [%d,%d]", q[0], q[1], pl, ph, wl, wh)
 		}
 	}
-	a, err := packed.MarshalBinary()
+	a, err := inline.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,64 +194,205 @@ func TestMicroZipfDensity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Errorf("packed and wide snapshots differ: %d vs %d bytes", len(a), len(b))
+		t.Errorf("inline and wide snapshots differ: %d vs %d bytes", len(a), len(b))
 	}
 }
 
-// TestCloneDeepCopiesPool: a clone's counters are independent storage; the
-// donor's later increments and promotions must not show through. This is
-// the invariant epoch publication relies on.
+// TestCloneDeepCopiesPool: a clone's counters, inline and spilled, are
+// independent storage; the donor's later adds to a spilled counter and
+// its later spills must not show through. This is the invariant epoch
+// publication relies on.
 func TestCloneDeepCopiesPool(t *testing.T) {
 	tr := MustNew(noStructure())
-	tr.AddN(7, 250)
+	tr.AddN(7, 1<<31+250)
 	cl := tr.Clone()
-	tr.AddN(7, 1000) // promotes the donor's counter out of the 8-bit class
-	if got := cl.Estimate(0, ^uint64(0)>>32); got != 250 {
-		t.Fatalf("clone sees donor mutation: %d, want 250", got)
+	tr.AddN(7, 1000) // an in-place add to the donor's spilled counter
+	if got := cl.Estimate(0, ^uint64(0)>>32); got != 1<<31+250 {
+		t.Fatalf("clone sees donor mutation: %d, want %d", got, uint64(1<<31+250))
 	}
-	if st := cl.Stats(); st.CounterPromotions != 0 || st.CounterSlots8 != 1 {
-		t.Fatalf("clone stats mutated: %+v", st)
+	if got := tr.Estimate(0, ^uint64(0)>>32); got != 1<<31+1250 {
+		t.Fatalf("donor count %d, want %d", got, uint64(1<<31+1250))
 	}
-	if got := tr.Estimate(0, ^uint64(0)>>32); got != 1250 {
-		t.Fatalf("donor count %d, want 1250", got)
+
+	// A donor spill after the clone appends to the donor's slab only.
+	small := MustNew(noStructure())
+	small.AddN(7, 5)
+	cl = small.Clone()
+	small.AddN(7, 1<<32)
+	if got := cl.count(0); got != 5 || len(cl.spill) != 0 {
+		t.Fatalf("clone count %d with %d spill slots, want 5 and none", got, len(cl.spill))
+	}
+	cl.AddN(7, 1<<33) // and the clone's own spill leaves the donor alone
+	if got := small.count(0); got != 1<<32+5 {
+		t.Fatalf("donor count %d after clone spilled, want %d", got, uint64(1<<32+5))
 	}
 }
 
-// TestSetCountReallocatesOnClassChange: the decode path's setCount reuses
-// the slot when the class matches and reallocates when it does not.
+// TestSetCountReallocatesOnClassChange: the decode path's setCount keeps
+// a value below 2^31 inline, gives one at or above it a spill slot, and
+// rewrites a spilled counter in its own slot.
 func TestSetCountReallocatesOnClassChange(t *testing.T) {
 	tr := MustNew(noStructure())
 	tr.setCount(0, 100)
-	if st := tr.Stats(); st.CounterSlots8 != 1 {
-		t.Fatalf("stats after narrow set: %+v", st)
+	if tr.arena[0].count != 100 || len(tr.spill) != 0 {
+		t.Fatalf("narrow set: word %#x, %d spill slots", tr.arena[0].count, len(tr.spill))
 	}
-	tr.setCount(0, 1<<20)
-	if st := tr.Stats(); st.CounterSlots8 != 0 || st.CounterSlots32 != 1 {
-		t.Fatalf("stats after wide set: %+v", st)
+	tr.setCount(0, 1<<40)
+	tr.setCount(0, 1<<31)
+	if len(tr.spill) != 1 || tr.count(0) != 1<<31 {
+		t.Fatalf("spilled sets: count %d, %d spill slots", tr.count(0), len(tr.spill))
 	}
-	if tr.count(0) != 1<<20 {
-		t.Fatalf("count = %d", tr.count(0))
+	tr.setCount(0, 9)
+	if tr.arena[0].count != 9 {
+		t.Fatalf("set back below 2^31: word %#x", tr.arena[0].count)
 	}
 }
 
-// TestCompactRebuildsPoolsDensely: after promote/fold churn plus a merge
-// batch, the pools hold exactly the live counters with no freed slack.
+// TestDecodeSpilledCount: a snapshot counter at or above 2^31 decodes
+// into a spill slot of an inline tree and answers and re-encodes exactly.
+func TestDecodeSpilledCount(t *testing.T) {
+	cfg := testConfig(16, 4, 0.05)
+	src, _ := NewWide(cfg)
+	for i, w := range []uint64{1<<31 - 1, 1 << 31, 1<<32 + 3, 7} {
+		src.AddN(uint64(i)<<12, w)
+	}
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := MustNew(cfg)
+	if err := tr.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	checkSpills(t, tr)
+	if len(tr.spill) == 0 {
+		t.Fatal("no counter spilled on decode")
+	}
+	if tr.Total() != src.Total() || tr.Estimate(1<<12, 2<<12) != src.Estimate(1<<12, 2<<12) {
+		t.Fatalf("decoded answers differ: total %d vs %d", tr.Total(), src.Total())
+	}
+	back, err := tr.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, data) {
+		t.Fatal("re-encoded snapshot differs")
+	}
+}
+
+// TestCompactRebuildsPoolsDensely: after spill and fold churn plus a
+// merge batch, the spill slab holds exactly the live spilled counters, in
+// the node slab's DFS order.
 func TestCompactRebuildsPoolsDensely(t *testing.T) {
 	cfg := testConfig(16, 4, 0.05)
 	cfg.FirstMerge = 64
 	tr := MustNew(cfg)
 	for i := 0; i < 50_000; i++ {
-		tr.Add(uint64(i*31) & 0xffff)
+		w := uint64(1)
+		if i%97 == 0 {
+			w = 1<<30 + uint64(i)
+		}
+		tr.AddN(uint64(i*31)&0xffff, w)
 	}
 	tr.MergeNow()
-	st := tr.Stats()
-	liveBytes := st.CounterSlots8 + 2*st.CounterSlots16 + 4*st.CounterSlots32 + 8*st.CounterSlots64
-	if st.CounterPoolBytes != liveBytes {
-		t.Fatalf("pool bytes %d after compaction, live counters need %d",
-			st.CounterPoolBytes, liveBytes)
+	checkSpills(t, tr)
+	live := 0
+	for i := range tr.arena {
+		if c := tr.arena[i].count; !tr.arena[i].dead && c&spillBit != 0 {
+			if int(c&^spillBit) != live {
+				t.Fatalf("slot %d names spill slot %d, want %d in slab order", i, c&^spillBit, live)
+			}
+			live++
+		}
 	}
-	if got := st.CounterSlots8 + st.CounterSlots16 + st.CounterSlots32 + st.CounterSlots64; got != st.Nodes {
-		t.Fatalf("live counters %d != nodes %d", got, st.Nodes)
+	if live == 0 {
+		t.Fatal("workload spilled no counters; test is vacuous")
+	}
+	if len(tr.spill) != live || cap(tr.spill) != live {
+		t.Fatalf("spill slab len %d cap %d after compaction, %d live spilled counters",
+			len(tr.spill), cap(tr.spill), live)
+	}
+}
+
+// TestMergeBatchFoldsSpilledChild: a merge batch folds a child whose
+// counter spilled into its parent exactly, and compaction drops the
+// child's slot, leaving the inline tree equal to the wide reference.
+func TestMergeBatchFoldsSpilledChild(t *testing.T) {
+	cfg := testConfig(16, 4, 0.05)
+	cfg.FirstMerge = 1 << 62 // merge batches only when forced
+	inline := MustNew(cfg)
+	wide, _ := NewWide(cfg)
+	var folded []uint64
+	inline.SetHooks(&Hooks{Merge: func(e MergeEvent) {
+		if e.Count >= spillBit {
+			folded = append(folded, e.Count)
+		}
+	}})
+	for _, a := range []struct{ p, w uint64 }{
+		{0x1234, 1 << 33}, {0x8000, 1 << 31}, {0x8001, 1<<32 + 1}, {0x0042, 3},
+		{0xc000, 1 << 50}, // lifts the merge threshold over every other counter
+	} {
+		inline.AddN(a.p, a.w)
+		wide.AddN(a.p, a.w)
+	}
+	before := len(inline.spill)
+	inline.MergeNow()
+	wide.MergeNow()
+	if len(folded) == 0 {
+		t.Fatal("no spilled child was folded")
+	}
+	checkSpills(t, inline)
+	if inline.Total() != inline.N() {
+		t.Fatalf("fold lost mass: total %d, n %d", inline.Total(), inline.N())
+	}
+	ps, _ := inline.MarshalBinary()
+	ws, _ := wide.MarshalBinary()
+	if !bytes.Equal(ps, ws) {
+		t.Fatal("inline and wide snapshots differ after folding spilled children")
+	}
+	if cap(inline.spill) >= before {
+		t.Fatalf("compaction kept %d of %d spill slots after folding %d spilled children",
+			cap(inline.spill), before, len(folded))
+	}
+}
+
+// TestGraftOntoSpilledCounter: Merge adds a source counter onto a spilled
+// destination counter in place, and spills an inline destination the sum
+// carries past 2^31, in step with the wide reference.
+func TestGraftOntoSpilledCounter(t *testing.T) {
+	cfg := noStructure()
+	dst, src := MustNew(cfg), MustNew(cfg)
+	wdst, _ := NewWide(cfg)
+	wsrc, _ := NewWide(cfg)
+	for _, tr := range []*Tree{dst, wdst} {
+		tr.AddN(9, 1<<31+1)
+	}
+	for _, tr := range []*Tree{src, wsrc} {
+		tr.AddN(9, 1<<32)
+	}
+	if err := dst.Merge(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := wdst.Merge(wsrc); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.count(0); got != 1<<32+1<<31+1 || len(dst.spill) != 1 {
+		t.Fatalf("graft onto spilled counter: %d with %d slots", got, len(dst.spill))
+	}
+
+	// Two inline counters whose sum reaches 2^31.
+	a, b := MustNew(cfg), MustNew(cfg)
+	a.AddN(9, 1<<30)
+	b.AddN(9, 1<<30)
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	checkSpills(t, a)
+	if got := a.count(0); got != 1<<31 {
+		t.Fatalf("graft across 2^31: %d", got)
+	}
+	if got, want := dst.Total(), wdst.Total(); got != want {
+		t.Fatalf("inline total %d, wide %d", got, want)
 	}
 }
 
@@ -290,11 +407,9 @@ func (r *refuseThird) Pulse(Stats)   {}
 func (r *refuseThird) TreeReplaced() {}
 
 // TestMassConservationWithAdmission: counted mass plus the unadmitted
-// ledger reconstructs the offered weight exactly, across promotions,
-// merge-batch compaction, Clone, and snapshot restore. The ledger is the
-// other half of the conservation story the pooled counters must not
-// disturb: refused weight never touches a pool slot but must never be
-// forgotten either.
+// ledger reconstructs the offered weight exactly, across spills,
+// merge-batch compaction, Clone, and snapshot restore. Refused weight
+// never touches a counter but must never be forgotten either.
 func TestMassConservationWithAdmission(t *testing.T) {
 	cfg := testConfig(16, 4, 0.05)
 	cfg.FirstMerge = 64
@@ -303,7 +418,10 @@ func TestMassConservationWithAdmission(t *testing.T) {
 
 	var offered uint64
 	for i := 0; i < 30_000; i++ {
-		w := uint64(i%900) + 1 // drives counters across 255 and 65535
+		w := uint64(i%900) + 1
+		if i%1000 == 0 {
+			w <<= 24 // drives counters across 2^31 and 2^32
+		}
 		tr.AddN(uint64(i*131)&0xffff, w)
 		offered += w
 	}
@@ -318,8 +436,8 @@ func TestMassConservationWithAdmission(t *testing.T) {
 		}
 	}
 	conserve("after ingest", tr)
-	if tr.Stats().CounterPromotions == 0 {
-		t.Fatal("workload drove no promotions; test is vacuous")
+	if len(tr.spill) == 0 {
+		t.Fatal("workload spilled no counters; test is vacuous")
 	}
 	tr.MergeNow()
 	conserve("after merge batch", tr)
@@ -336,21 +454,24 @@ func TestMassConservationWithAdmission(t *testing.T) {
 	conserve("restored", &back)
 }
 
-// TestPackedWideSnapshotIdentity: fed the same stream, the packed and wide
-// layouts serialize to identical bytes — promotion changes representation,
-// never values, and the wire format materializes counters at full width.
+// TestPackedWideSnapshotIdentity: fed the same stream, the inline and
+// wide layouts serialize to identical bytes — spilling changes
+// representation, never values.
 func TestPackedWideSnapshotIdentity(t *testing.T) {
 	cfg := testConfig(32, 8, 0.02)
 	cfg.FirstMerge = 128
-	packed := MustNew(cfg)
+	inline := MustNew(cfg)
 	wide, _ := NewWide(cfg)
 	for i := 0; i < 200_000; i++ {
 		p := uint64(i*2654435761) >> 12
-		w := uint64(i%300) + 1 // weights drive counters across 255 and 65535
-		packed.AddN(p, w)
+		w := uint64(i%300) + 1
+		if i%5000 == 0 {
+			w <<= 26 // some counters cross 2^31 and 2^32
+		}
+		inline.AddN(p, w)
 		wide.AddN(p, w)
 	}
-	a, err := packed.MarshalBinary()
+	a, err := inline.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +480,17 @@ func TestPackedWideSnapshotIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("packed and wide snapshots differ: %d vs %d bytes", len(a), len(b))
+		t.Fatalf("inline and wide snapshots differ: %d vs %d bytes", len(a), len(b))
 	}
-	// And a restore of the wide snapshot into a packed tree re-packs it.
+	// A restore of the wide snapshot into an inline tree spills only the
+	// counters that need 64 bits.
 	var back Tree
 	if err := back.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	// Restore allocates every counter at its final narrowest class
-	// directly (no promotion history) and is denser than 8 B/counter.
-	if st := back.Stats(); st.CounterPromotions != 0 || st.CounterPoolBytes >= 8*st.Nodes {
-		t.Fatalf("restored tree not packed at final classes: %+v", st)
+	checkSpills(t, &back)
+	if len(back.spill) == 0 || len(back.spill) >= back.nodes {
+		t.Fatalf("restored tree spilled %d of %d counters", len(back.spill), back.nodes)
 	}
 	c, err := back.MarshalBinary()
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // 64Ki events keeps worst-case staleness small relative to any realistic
 // merge interval. A publish clones every shard holding mass and merges
 // the later clones into the first, so with one populated shard it is one
-// slab copy (about 51 KB in 7 allocations for 3.3k nodes, under 1 B per
+// slab copy (about 42 KB in 3 allocations for 3.3k nodes, under 1 B per
 // event at this cadence); each further populated shard adds a clone and a
 // merge.
 const DefaultPublishEvery = 1 << 16

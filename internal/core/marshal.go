@@ -55,13 +55,12 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 }
 
 // marshalNode encodes the subtree at slot vi (range start lo) in logical
-// preorder. The encoding walks live slots only and materializes each
-// counter through the pool read, so it is independent of arena layout and
-// of counter width classes: two trees that are structurally equal
-// serialize identically however their slabs are fragmented and however
-// their counters are packed — a packed tree and a NewWide tree fed the
-// same stream emit the same bytes, and the wire format is unchanged from
-// the pre-pool layout.
+// preorder. The encoding walks live slots only and writes each counter's
+// value, so it is independent of arena layout and of where a counter is
+// stored: two trees that are structurally equal serialize identically
+// however their slabs are fragmented and whichever counters have spilled
+// — an inline tree and a NewWide tree fed the same stream emit the same
+// bytes.
 func (t *Tree) marshalNode(buf *bytes.Buffer, vi uint32, lo uint64) {
 	v := &t.arena[vi]
 	writeUvarint(buf, lo)
@@ -193,10 +192,9 @@ func (t *Tree) unmarshalNode(r *bytes.Reader, vi uint32, wantLo uint64, wantPlen
 		return fmt.Errorf("core: snapshot node (%#x, %d) does not match derived bounds (%#x, %d)",
 			lo, plen, wantLo, wantPlen)
 	}
-	// Revive the slot, keeping whatever counter reference it already holds
-	// (the root's initial slot, or crefNone for a hole) so setCount can
-	// reuse or replace it.
-	t.arena[vi] = node{cref: t.arena[vi].cref, plen: plen, childBase: nilIdx}
+	// Revive the slot, keeping the count word it already holds (a wide
+	// root's spill slot, or 0 for a hole) so setCount can reuse it.
+	t.arena[vi] = node{count: t.arena[vi].count, plen: plen, childBase: nilIdx}
 	t.setCount(vi, count)
 	t.nodes++
 	if live == 0 {

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// legacySnapshot hand-assembles a snapshot byte stream exactly as the
-// pre-pool encoder emitted it (the wire format is unchanged across the
-// counter-pool rework, so this doubles as the format's golden spec): a
-// w=4, b=4 tree whose root holds 5 residual events and whose two live
-// children hold 300 and 70000 — one counter per width class 0/1/2 once
-// decoded into the pooled layout.
+// legacySnapshot hand-assembles a snapshot byte stream exactly as every
+// encoder so far has emitted it (the wire format has not changed with the
+// counter layout, so this doubles as the format's golden spec): a w=4,
+// b=4 tree whose root holds 5 residual events and whose two live children
+// hold 300 and 70000.
 func legacySnapshot(ver byte, unadmitted uint64) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("RAPT")
@@ -60,10 +59,10 @@ func legacySnapshot(ver byte, unadmitted uint64) []byte {
 	return buf.Bytes()
 }
 
-// TestLegacySnapshotsDecodeIntoPools proves snapshots written before the
-// pooled-counter layout existed (RAPT v1/v2/v3) still decode, land each
-// counter directly in its narrowest width class with no promotion
-// history, answer queries exactly, and re-encode as current-version bytes.
+// TestLegacySnapshotsDecodeIntoPools proves snapshots of every version
+// (RAPT v1/v2/v3) decode into either counter layout, keep counters below
+// 2^31 inline, answer queries exactly, and re-encode as current-version
+// bytes.
 func TestLegacySnapshotsDecodeIntoPools(t *testing.T) {
 	for _, ver := range []byte{1, 2, 3} {
 		var unadmitted uint64
@@ -95,14 +94,9 @@ func TestLegacySnapshotsDecodeIntoPools(t *testing.T) {
 		if st.Nodes != 3 {
 			t.Fatalf("v%d: %d nodes, want 3", ver, st.Nodes)
 		}
-		// 5 -> 8-bit, 300 -> 16-bit, 70000 -> 32-bit: each counter is
-		// allocated at its final class, never promoted into it.
-		if st.CounterSlots8 != 1 || st.CounterSlots16 != 1 || st.CounterSlots32 != 1 || st.CounterSlots64 != 0 {
-			t.Fatalf("v%d: slots (%d,%d,%d,%d), want (1,1,1,0)",
-				ver, st.CounterSlots8, st.CounterSlots16, st.CounterSlots32, st.CounterSlots64)
-		}
-		if st.CounterPromotions != 0 {
-			t.Fatalf("v%d: %d promotions on restore, want 0", ver, st.CounterPromotions)
+		// 5, 300 and 70000 all stay in their nodes.
+		if len(tr.spill) != 0 {
+			t.Fatalf("v%d: %d counters spilled on restore, want 0", ver, len(tr.spill))
 		}
 
 		// The same bytes decode into the wide reference layout with
@@ -116,8 +110,8 @@ func TestLegacySnapshotsDecodeIntoPools(t *testing.T) {
 		if err := wide.UnmarshalBinary(data); err != nil {
 			t.Fatalf("v%d wide: %v", ver, err)
 		}
-		if wide.Stats().CounterSlots64 != 3 {
-			t.Fatalf("v%d: wide restore has %d 64-bit slots, want 3", ver, wide.Stats().CounterSlots64)
+		if len(wide.spill) != 3 {
+			t.Fatalf("v%d: wide restore has %d spill slots, want 3", ver, len(wide.spill))
 		}
 		re, err := tr.MarshalBinary()
 		if err != nil {
@@ -132,7 +126,7 @@ func TestLegacySnapshotsDecodeIntoPools(t *testing.T) {
 			t.Fatalf("v%d: re-marshal is not the canonical v3 stream", ver)
 		}
 		if !bytes.Equal(reWide, want) {
-			t.Fatalf("v%d: wide re-marshal diverges from packed", ver)
+			t.Fatalf("v%d: wide re-marshal diverges from inline", ver)
 		}
 	}
 }

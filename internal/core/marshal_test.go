@@ -32,15 +32,12 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed totals: N %d->%d nodes %d->%d total %d->%d",
 			tr.N(), back.N(), tr.NodeCount(), back.NodeCount(), tr.Total(), back.Total())
 	}
-	// ArenaBytes and CounterPoolBytes track physical slab capacity (growth
-	// slack included) and are legitimately smaller after a restore;
-	// CounterPromotions and DescentLevels are ingest history snapshots do
-	// not carry, and a restored tree has no start table until it descends.
-	// All logical state must match.
+	// ArenaBytes tracks physical slab capacity (growth slack included) and
+	// is legitimately smaller after a restore; DescentLevels is ingest
+	// history snapshots do not carry, and a restored tree has no start
+	// table until it descends. All logical state must match.
 	got, want := back.Stats(), tr.Stats()
 	got.ArenaBytes, want.ArenaBytes = 0, 0
-	got.CounterPoolBytes, want.CounterPoolBytes = 0, 0
-	got.CounterPromotions, want.CounterPromotions = 0, 0
 	got.DescentLevels, want.DescentLevels = 0, 0
 	got.StartTableBytes, want.StartTableBytes = 0, 0
 	if got != want {

@@ -99,7 +99,7 @@ func (t *Tree) graft(di uint32, src *Tree, si uint32) {
 		}
 		dci := t.arena[di].childBase + uint32(i)
 		if t.arena[dci].dead {
-			t.arena[dci] = node{cref: t.counterAlloc(0), childBase: nilIdx, plen: cplen}
+			t.arena[dci] = node{count: t.newCount(0), childBase: nilIdx, plen: cplen}
 			t.nodes++
 		}
 		t.graft(dci, src, s.childBase+uint32(i))
@@ -132,12 +132,12 @@ func (t *Tree) resplit(vi uint32, lo uint64) {
 }
 
 // Clone returns a deep copy of the tree sharing no storage with t: one
-// slab copy of the arena, copies of the freelists, and a deep copy of the
-// counter pools, preserving the donor's layout (indices and crefs mean the
-// same thing in both trees). The pool copy is load-bearing for epoch
-// publication: an aliased pool would let the writer's in-class counter
-// increments and promotions race readers of the published snapshot. Hooks
-// and the event tap are not carried over: a clone is a passive snapshot.
+// slab copy of the arena, copies of the freelists, and a copy of the
+// spill slab, preserving the donor's layout (slots and spill references
+// mean the same thing in both trees). The spill copy is load-bearing for
+// epoch publication: an aliased slab would let the writer's adds to
+// spilled counters race readers of the published snapshot. Hooks and the
+// event tap are not carried over: a clone is a passive snapshot.
 func (t *Tree) Clone() *Tree {
 	nt := *t
 	nt.hooks = nil
@@ -150,6 +150,6 @@ func (t *Tree) Clone() *Tree {
 	for k, fl := range t.free {
 		nt.free[k] = append([]uint32(nil), fl...)
 	}
-	nt.pool = t.pool.clone()
+	nt.spill = append([]uint64(nil), t.spill...)
 	return &nt
 }

@@ -13,12 +13,11 @@ import "math/bits"
 // offsets), which is what lets the descent start table of start.go hold
 // slots across splits; only compaction, which renumbers them, clears it.
 //
-// The node is 12 bytes. Two fields of the original arena layout were
-// evicted to get there, halving the slab and roughly doubling how much of
-// the hot descent chain fits per cache line:
+// The node is 12 bytes, half the original arena layout, which roughly
+// doubles how much of the hot descent chain fits per cache line:
 //
-//   - The counter moved into per-tree width-class pools (counter.go); the
-//     node keeps only the 32-bit packed reference cref.
+//   - The counter is a 32-bit count word that spills to a 64-bit slab
+//     cell only at 2^31 (counter.go).
 //   - lo is no longer stored at all. A node's range start is derivable
 //     wherever the node is reached: the descent for a point p knows
 //     lo = p &^ suffixMask(w-plen), and every whole-tree walk descends
@@ -32,7 +31,7 @@ import "math/bits"
 // recycled by later splits, so a workload that repeatedly splits and
 // merges churns no memory at all.
 type node struct {
-	cref      uint32 // packed counter reference (counter.go); crefNone while dead
+	count     uint32 // the counter, or spillBit|slot once spilled (counter.go); 0 while dead
 	childBase uint32 // base slot of the children block; nilIdx = leaf
 	plen      uint8
 	dead      bool // slot is a merge hole or sits in a freed block
@@ -104,7 +103,7 @@ func (t *Tree) allocBlock(fan int) uint32 {
 	}
 	t.arena = t.arena[:base+fan]
 	for i := base; i < base+fan; i++ {
-		t.arena[i] = node{cref: crefNone, childBase: nilIdx, dead: true}
+		t.arena[i] = node{childBase: nilIdx, dead: true}
 	}
 	return uint32(base)
 }

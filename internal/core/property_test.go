@@ -141,17 +141,14 @@ func TestPropMarshalRoundTrip(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			return false
 		}
-		// ArenaBytes and CounterPoolBytes are physical slab capacity, not
-		// logical state: a restored tree allocates exactly what it needs
-		// while the live tree carries growth slack and freed pool slots.
-		// CounterPromotions and DescentLevels are ingest history, which
-		// snapshots do not carry (a restored counter is allocated at its
-		// final class directly), and a restored tree has no start table
-		// until it descends. All five are excluded from round-trip equality.
+		// ArenaBytes is physical slab capacity, not logical state: a
+		// restored tree allocates exactly what it needs while the live
+		// tree carries growth slack. DescentLevels is ingest history,
+		// which snapshots do not carry, and a restored tree has no start
+		// table until it descends. All three are excluded from round-trip
+		// equality.
 		want, got := tr.Stats(), back.Stats()
 		want.ArenaBytes, got.ArenaBytes = 0, 0
-		want.CounterPoolBytes, got.CounterPoolBytes = 0, 0
-		want.CounterPromotions, got.CounterPromotions = 0, 0
 		want.DescentLevels, got.DescentLevels = 0, 0
 		want.StartTableBytes, got.StartTableBytes = 0, 0
 		return got == want && back.Total() == tr.Total()
@@ -220,8 +217,6 @@ func TestPropArenaAccounting(t *testing.T) {
 		}
 
 		live := 0
-		var liveByClass [counterClasses]int
-		crefs := make(map[uint32]bool)
 		claimed := make(map[uint32]int) // block base -> fan
 		ok := true
 		var visit func(vi uint32)
@@ -232,18 +227,6 @@ func TestPropArenaAccounting(t *testing.T) {
 				return
 			}
 			live++
-			// Every live node owns exactly one pool slot, at the narrowest
-			// class that fits its (never-decreasing) counter value.
-			if v.cref == crefNone || crefs[v.cref] {
-				ok = false
-				return
-			}
-			crefs[v.cref] = true
-			cls := v.cref >> crefIdxBits
-			if cls != classFor(tr.count(vi)) {
-				ok = false
-			}
-			liveByClass[cls]++
 			if v.childBase == nilIdx {
 				return
 			}
@@ -263,6 +246,7 @@ func TestPropArenaAccounting(t *testing.T) {
 		if !ok || live != tr.nodes {
 			return false
 		}
+		checkSpills(t, tr)
 		for k, fl := range tr.free {
 			for _, base := range fl {
 				if _, dup := claimed[base]; dup {
@@ -274,13 +258,6 @@ func TestPropArenaAccounting(t *testing.T) {
 						return false // freed block holds a live slot
 					}
 				}
-			}
-		}
-		// Pool occupancy bookkeeping must agree with the traversal: the
-		// live-slot count per class is exactly the live nodes at that class.
-		for cls := 0; cls < counterClasses; cls++ {
-			if tr.pool.live(cls) != liveByClass[cls] {
-				return false
 			}
 		}
 		slots := 1 // root

@@ -223,9 +223,9 @@ func TestDescentLevelsPerEvent(t *testing.T) {
 
 // TestAddAllocations is the deterministic gate on per-event allocation. A
 // fresh tree fed 2M events of the micro Zipf stream allocates only as its
-// slab, counter pools and start table grow (~300 times), and a warmed
-// tree's Add allocates nothing. One allocation per event anywhere on the
-// update path fails both, on any machine.
+// slab and start table grow (~110 times), and a warmed tree's Add
+// allocates nothing. One allocation per event anywhere on the update path
+// fails both, on any machine.
 func TestAddAllocations(t *testing.T) {
 	const n = 2_000_000
 	points := microZipf()

@@ -19,24 +19,18 @@ type Tree struct {
 
 	// arena is the node slab: slot 0 is the root, children occupy
 	// contiguous blocks (see node.go). free holds recycled children
-	// blocks keyed by log2 of their size. pool holds the node counters
-	// in width-class slabs (see counter.go).
+	// blocks keyed by log2 of their size. spill holds the counters that
+	// outgrew their node's 32-bit count word (see counter.go).
 	arena []node
 	free  [maxFreeLists][]uint32
-	pool  counterPool
+	spill []uint64
 	n     uint64 // events (total weight) processed
 
-	// wideCounters pins every counter allocation to the 64-bit class,
-	// reproducing the pre-pool layout exactly. NewWide sets it; the
-	// packed/wide equivalence and density tests compare the two layouts
-	// on identical streams.
+	// wideCounters spills every counter from birth, reproducing a 64-bit
+	// counter layout exactly. NewWide sets it; the inline/wide
+	// equivalence and density tests compare the two layouts on identical
+	// streams.
 	wideCounters bool
-
-	// promotions counts counter overflow promotions; promoted[k] counts
-	// those that landed in class k (k >= 1; a weighted update can skip
-	// classes).
-	promotions uint64
-	promoted   [counterClasses]uint64
 
 	nodes    int
 	maxNodes int
@@ -82,7 +76,7 @@ type Stats struct {
 	Nodes        int    // live nodes (including the root)
 	MaxNodes     int    // high-water mark of live nodes
 	MemoryBytes  int    // Nodes * NodeBytes (the paper's 16 B/node model)
-	ArenaBytes   int    // actual node-slab + counter-pool footprint (see Tree.ArenaBytes)
+	ArenaBytes   int    // actual node-slab + spill-slab footprint (see Tree.ArenaBytes)
 	Splits       uint64 // split operations performed
 	Merges       uint64 // nodes folded into their parents
 	MergeBatches uint64 // batched merge passes run
@@ -95,14 +89,6 @@ type Stats struct {
 	// DescentLevels counts the tree levels update descents walked below
 	// their start-table slot: a work counter, which snapshots do not carry.
 	DescentLevels uint64
-
-	// Counter-pool occupancy and promotion accounting (see counter.go).
-	CounterSlots8     int    // live 8-bit pooled counters
-	CounterSlots16    int    // live 16-bit pooled counters
-	CounterSlots32    int    // live 32-bit pooled counters
-	CounterSlots64    int    // live 64-bit pooled counters
-	CounterPoolBytes  int    // physical counter-pool footprint (included in ArenaBytes)
-	CounterPromotions uint64 // overflow promotions to a wider class
 }
 
 // Add sums o's counters into s, for a view over several trees (the
@@ -121,12 +107,6 @@ func (s *Stats) Add(o Stats) {
 	s.MergeBatches += o.MergeBatches
 	s.StartTableBytes += o.StartTableBytes
 	s.DescentLevels += o.DescentLevels
-	s.CounterSlots8 += o.CounterSlots8
-	s.CounterSlots16 += o.CounterSlots16
-	s.CounterSlots32 += o.CounterSlots32
-	s.CounterSlots64 += o.CounterSlots64
-	s.CounterPoolBytes += o.CounterPoolBytes
-	s.CounterPromotions += o.CounterPromotions
 }
 
 // New builds an empty RAP tree (the rap_init of Section 3.2). The tree
@@ -134,14 +114,14 @@ func (s *Stats) Add(o Stats) {
 // which counts all instructions" starting point of Section 2.
 func New(cfg Config) (*Tree, error) { return newTree(cfg, false) }
 
-// NewWide builds a RAP tree whose counters are all allocated at the full
-// 64-bit width, byte-for-byte reproducing the pre-pool storage cost. It
-// exists as the reference layout: fed the same stream, a packed tree and a
-// wide tree must produce identical estimates and identical snapshot bytes
-// (the promotion ladder changes representation, never values). Only tests
-// build it: the equivalence fuzzer, the snapshot-identity and legacy
-// decoding tests, and TestMicroZipfDensity, which requires the packed
-// arena to be at least 1.5× smaller.
+// NewWide builds a RAP tree whose counters all live in the 64-bit spill
+// slab from birth, the storage cost of a tree with 64-bit counters. It
+// exists as the reference layout: fed the same stream, an inline tree and
+// a wide tree must produce identical estimates and identical snapshot
+// bytes (spilling changes representation, never values). Only tests build
+// it: the equivalence fuzzer, the snapshot-identity and legacy decoding
+// tests, and TestMicroZipfDensity, which requires the inline arena to be
+// at least 1.5× smaller.
 func NewWide(cfg Config) (*Tree, error) { return newTree(cfg, true) }
 
 func newTree(cfg Config, wide bool) (*Tree, error) {
@@ -154,11 +134,11 @@ func newTree(cfg Config, wide bool) (*Tree, error) {
 		shift:        bits.TrailingZeros(uint(cfg.Branch)),
 		height:       cfg.Height(),
 		mask:         suffixMask(cfg.UniverseBits),
-		arena:        []node{{cref: crefNone, childBase: nilIdx}},
+		arena:        []node{{childBase: nilIdx}},
 		wideCounters: wide,
 		nodes:        1,
 	}
-	t.arena[0].cref = t.counterAlloc(0)
+	t.arena[0].count = t.newCount(0)
 	t.maxNodes = 1
 	if cfg.MergeEvery != 0 {
 		t.mergeInterval = cfg.MergeEvery
@@ -196,12 +176,12 @@ func (t *Tree) MaxNodeCount() int { return t.maxNodes }
 func (t *Tree) MemoryBytes() int { return t.nodes * NodeBytes }
 
 // ArenaBytes returns the actual backing-store footprint of the profile:
-// the node slab plus the counter pools, including slab slack and freed
-// slots awaiting reuse. It differs from MemoryBytes, which charges live
+// the node slab plus the spill slab, including slab slack and freed
+// blocks awaiting reuse. It differs from MemoryBytes, which charges live
 // nodes at the paper's accounting rate; ArenaBytes/Nodes is the real
-// bytes-per-node density the packed-counter layout is measured by.
+// bytes-per-node density of the inline-counter layout.
 func (t *Tree) ArenaBytes() int {
-	return cap(t.arena)*int(unsafe.Sizeof(node{})) + t.pool.bytes()
+	return cap(t.arena)*int(unsafe.Sizeof(node{})) + cap(t.spill)*8
 }
 
 // Stats returns a snapshot of the tree's counters.
@@ -220,13 +200,6 @@ func (t *Tree) Stats() Stats {
 
 		StartTableBytes: t.startTableBytes(),
 		DescentLevels:   t.descentLevels,
-
-		CounterSlots8:     t.pool.live(0),
-		CounterSlots16:    t.pool.live(1),
-		CounterSlots32:    t.pool.live(2),
-		CounterSlots64:    t.pool.live(3),
-		CounterPoolBytes:  t.pool.bytes(),
-		CounterPromotions: t.promotions,
 	}
 }
 
@@ -282,8 +255,7 @@ func (t *Tree) AddN(p uint64, weight uint64) {
 	if t.n < weight {
 		t.splitAt = 0 // n wrapped, and the threshold fell with it
 	}
-	// Credit the node, promoting its counter to a wider pool class on
-	// overflow.
+	// Credit the node, spilling its counter at 2^31.
 	nv := t.addCount(vi, weight)
 
 	// Stage 4 of the pipeline: compare against the split threshold. The
@@ -324,7 +296,7 @@ func (t *Tree) split(vi uint32, lo uint64) {
 		if !c.dead {
 			continue
 		}
-		*c = node{cref: t.counterAlloc(0), childBase: nilIdx, plen: cplen}
+		*c = node{count: t.newCount(0), childBase: nilIdx, plen: cplen}
 		t.nodes++
 		created++
 	}
@@ -381,16 +353,16 @@ func (t *Tree) runMergeBatch() {
 }
 
 // compact rebuilds the arena in depth-first order, dropping freed blocks
-// and the holes between them, then rebuilds the counter pools densely in
-// the same order. Running it at the tail of every merge batch keeps two
-// promises cheap: the slab's footprint tracks the live tree (a merge
-// batch genuinely releases node and counter memory instead of parking it
-// on freelists), and a root-to-leaf descent path lands on consecutive
-// blocks of the slab, which is what makes the index-linked layout faster
-// than pointer chasing on skewed streams — the hot chain occupies a
-// handful of cache lines laid out in walk order. Cost is one O(slots)
-// copy per merge batch, amortized by the geometric merge schedule exactly
-// like the merge walk itself.
+// and the holes between them, then rebuilds the spill slab densely in the
+// same order. Running it at the tail of every merge batch keeps two
+// promises cheap: the slabs' footprint tracks the live tree (a merge
+// batch genuinely releases node and spilled-counter memory instead of
+// parking it on freelists), and a root-to-leaf descent path lands on
+// consecutive blocks of the slab, which is what makes the index-linked
+// layout faster than pointer chasing on skewed streams — the hot chain
+// occupies a handful of cache lines laid out in walk order. Cost is one
+// O(slots) copy per merge batch, amortized by the geometric merge
+// schedule exactly like the merge walk itself.
 func (t *Tree) compact() {
 	// The new slab needs 1 + sum(attached block sizes) slots, which the old
 	// length bounds (it additionally counts freed blocks), so the appends
@@ -399,32 +371,22 @@ func (t *Tree) compact() {
 	na := make([]node, 1, len(t.arena))
 	na[0] = t.arena[0]
 	t.compactInto(&na, 0, 0)
-	// Re-home every live counter into fresh pools, visiting nodes in the
-	// new DFS slab order so pool layout follows descent order too. Classes
-	// are preserved: a counter's class is always the narrowest that fits
-	// its (never-decreasing) value, or the 64-bit class on a wide tree.
-	// Slabs are sized exactly: after a merge batch the pool footprint is
-	// precisely the live counters, with no growth slack or freed slots.
-	var perClass [counterClasses]int
+	// Re-home every live spilled counter, in the new slab's DFS order, into
+	// a slab sized exactly: the slots of folded counters are dropped here.
+	spilled := 0
 	for i := range na {
-		if !na[i].dead {
-			perClass[na[i].cref>>crefIdxBits]++
+		if !na[i].dead && na[i].count&spillBit != 0 {
+			spilled++
 		}
 	}
-	np := counterPool{
-		w8:  make([]uint8, 0, perClass[0]),
-		w16: make([]uint16, 0, perClass[1]),
-		w32: make([]uint32, 0, perClass[2]),
-		w64: make([]uint64, 0, perClass[3]),
-	}
+	spill := make([]uint64, 0, spilled)
 	for i := range na {
-		if na[i].dead {
-			continue
+		if c := na[i].count; !na[i].dead && c&spillBit != 0 {
+			na[i].count = spillBit | uint32(len(spill))
+			spill = append(spill, t.spill[c&^spillBit])
 		}
-		cref := na[i].cref
-		na[i].cref = np.alloc(cref>>crefIdxBits, t.pool.value(cref))
 	}
-	t.pool = np
+	t.spill = spill
 	t.arena = na
 	t.free = [maxFreeLists][]uint32{}
 }
@@ -472,11 +434,11 @@ func (t *Tree) advanceMergeSchedule() {
 // its counter is at or below the merge threshold. Counts only ever move
 // upward, preserving the lower-bound property of every estimate; since at
 // most one threshold of count can move up per level, the ε·n error bound
-// is preserved (Section 2.2). A folded child's pool slot is released
-// along with its node slot.
+// is preserved (Section 2.2). A folded child's spill slot, if any, is
+// left for the compaction that ends every merge batch.
 // The merge path never grows the arena (freeBlock only pushes to a
-// freelist), so node pointers may be held across recursion; counter-pool
-// storage may move (a fold can promote the parent's counter), which never
+// freelist), so node pointers may be held across recursion; the spill
+// slab may grow (a fold can spill the parent's counter), which never
 // invalidates arena pointers.
 func (t *Tree) mergeNode(vi uint32, lo uint64, thr float64) {
 	v := &t.arena[vi]
@@ -508,7 +470,7 @@ func (t *Tree) mergeNode(vi uint32, lo uint64, thr float64) {
 				})
 			}
 			t.addCount(vi, cnt)
-			t.counterRelease(ci)
+			c.count = 0
 			c.dead = true
 			t.nodes--
 			t.merges++

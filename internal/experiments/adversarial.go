@@ -177,7 +177,7 @@ func Adversarial(o Options) (AdversarialResult, error) {
 
 // Print renders the before/after table.
 func (r AdversarialResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Adversarial key flood (%.0f%% flood over gzip values, %d events)\n",
+	fmt.Fprintf(w, "== Adversarial key flood (%.0f%% flood over gzip values, %d events) ==\n",
 		r.FloodFrac*100, r.Events)
 	fmt.Fprintf(w, "  %-12s %12s %12s %10s %10s %10s %12s %10s\n",
 		"admission", "credited", "refused", "splits", "merges", "churn", "peak-arena", "violations")

@@ -533,26 +533,10 @@ func (in *Ingestor) registerMetrics() {
 			treeStat(func(st core.Stats) float64 { return float64(st.MaxNodes) }), labels...)
 		reg.GaugeFunc("rap_tree_memory_bytes", "Shard tree memory under the paper's 16 B/node cost model.",
 			treeStat(func(st core.Stats) float64 { return float64(st.MemoryBytes) }), labels...)
-		reg.GaugeFunc("rap_tree_arena_bytes", "Physical node-arena footprint of the shard tree, including growth slack.",
+		reg.GaugeFunc("rap_tree_arena_bytes", "Physical node-slab and spill-slab footprint of the shard tree, including growth slack.",
 			treeStat(func(st core.Stats) float64 { return float64(st.ArenaBytes) }), labels...)
 		reg.GaugeFunc("rap_tree_error_budget", "Current ε·n error budget of the shard tree, in events.",
 			treeStat(func(st core.Stats) float64 { return eps * float64(st.N) }), labels...)
-		reg.GaugeFunc("rap_tree_counter_pool_bytes", "Physical counter-pool footprint of the shard tree (included in rap_tree_arena_bytes).",
-			treeStat(func(st core.Stats) float64 { return float64(st.CounterPoolBytes) }), labels...)
-		reg.CounterFunc("rap_tree_counter_promotions_total", "Counter overflow promotions to a wider pool class in the shard tree.",
-			treeStat(func(st core.Stats) float64 { return float64(st.CounterPromotions) }), labels...)
-		for _, wc := range []struct {
-			width string
-			get   func(core.Stats) float64
-		}{
-			{"8", func(st core.Stats) float64 { return float64(st.CounterSlots8) }},
-			{"16", func(st core.Stats) float64 { return float64(st.CounterSlots16) }},
-			{"32", func(st core.Stats) float64 { return float64(st.CounterSlots32) }},
-			{"64", func(st core.Stats) float64 { return float64(st.CounterSlots64) }},
-		} {
-			reg.GaugeFunc("rap_tree_counter_slots", "Live pooled counters in the shard tree by width class.",
-				treeStat(wc.get), append([]obs.Label{obs.L("width", wc.width)}, labels...)...)
-		}
 	}
 	for _, ss := range in.sources {
 		ss := ss

@@ -9,11 +9,11 @@ import (
 )
 
 // TestShardCounterPromotionEpochHammer is the sharded twin of the core
-// promotion hammer: weighted feeders drive counter-overflow promotions in
-// every shard while pinned epoch readers query the merged cut, under the
-// race detector. The merged epoch is built from shard clones; if a clone
-// aliased its donor's counter pools, the shards' concurrent promotions
-// would race the reads here.
+// spill hammer: weighted feeders keep counters reaching 2^31 and spilling
+// in every shard while pinned epoch readers query the merged cut, under
+// the race detector. The merged epoch is built from shard clones; if a
+// clone aliased its donor's spill slab, the shards' concurrent adds and
+// spills would race the reads here.
 func TestShardCounterPromotionEpochHammer(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.UniverseBits = 20
@@ -37,9 +37,9 @@ func TestShardCounterPromotionEpochHammer(t *testing.T) {
 			samples := make([]core.Sample, 0, 64)
 			for i := 0; i < each; i++ {
 				samples = append(samples,
-					// Hot set with 8-bit-boundary weights: constant
-					// promotion churn in whichever shard the chunk lands.
-					core.Sample{Value: uint64(i%16) << 14, Weight: uint64(100 + i%200)},
+					// Hot set with weights near 2^24: constant spill
+					// churn in whichever shard the chunk lands.
+					core.Sample{Value: uint64(i%16) << 14, Weight: 1<<24 + uint64(i%200)},
 					core.Sample{Value: uint64(w*each+i) * 2654435761 % (1 << 20), Weight: 1},
 				)
 				if len(samples) == cap(samples) {
@@ -79,9 +79,17 @@ func TestShardCounterPromotionEpochHammer(t *testing.T) {
 	stop.Store(true)
 	qwg.Wait()
 
-	st := e.Stats()
-	if st.CounterPromotions == 0 {
-		t.Fatal("hammer drove no promotions; weights are mistuned")
+	spilled := false
+	for i := 0; i < e.Shards() && !spilled; i++ {
+		e.WithShard(i, func(tr *core.Tree) {
+			tr.Walk(func(ni core.NodeInfo) bool {
+				spilled = ni.Count >= 1<<31
+				return !spilled
+			})
+		})
+	}
+	if !spilled {
+		t.Fatal("hammer spilled no counters; weights are mistuned")
 	}
 	// Engine.Estimate answers from the last published cut, which lags the
 	// final flushes; check conservation on a fresh merged view instead.

@@ -204,15 +204,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if back.N() != e.N() {
 		t.Fatalf("restored N = %d, want %d", back.N(), e.N())
 	}
-	// ArenaBytes and CounterPoolBytes are physical slab capacity, not
-	// logical state, and a restored tree allocates exactly what it needs;
-	// CounterPromotions and DescentLevels are ingest history snapshots do
-	// not carry, and restored trees have no start table until they
-	// descend — exclude all five.
+	// ArenaBytes is physical slab capacity, not logical state, and a
+	// restored tree allocates exactly what it needs; DescentLevels is
+	// ingest history snapshots do not carry, and restored trees have no
+	// start table until they descend — exclude all three.
 	got, want := back.Stats(), e.Stats()
 	got.ArenaBytes, want.ArenaBytes = 0, 0
-	got.CounterPoolBytes, want.CounterPoolBytes = 0, 0
-	got.CounterPromotions, want.CounterPromotions = 0, 0
 	got.DescentLevels, want.DescentLevels = 0, 0
 	got.StartTableBytes, want.StartTableBytes = 0, 0
 	if got != want {

@@ -4,10 +4,10 @@ package rap_test
 // every unit of weight an engine admits must remain countable — the
 // full-universe estimate accounts for all credited mass, and Stats.N plus
 // the unadmitted ledger always reconstructs exactly what was offered — no
-// matter how the counters underneath are promoted between width classes,
-// compacted by merge batches, deep-copied by epoch publication, or
+// matter how the counters underneath spill out of their nodes, are
+// compacted by merge batches, copied by epoch publication, or
 // round-tripped through snapshots. A lost or double-counted unit anywhere
-// in the pooled-counter machinery shows up here as a conservation leak.
+// in the counter machinery shows up here as a conservation leak.
 
 import (
 	"testing"
@@ -18,10 +18,9 @@ import (
 
 const confUniverseMax = 1<<16 - 1
 
-// offeredStream feeds eng a promotion-heavy mixed workload and returns the
-// total weight offered: a skewed weight-1 stream, mid-size weighted
-// updates crossing the 255 and 65535 counter boundaries, and a few jump
-// updates that skip counter classes outright.
+// offeredStream feeds eng a mixed workload and returns the total weight
+// offered: a skewed weight-1 stream, mid-size weighted updates, and a few
+// jump updates that carry a counter past 2^32 at once, spilling it.
 func offeredStream(eng rap.Profiler, seed uint64) uint64 {
 	var offered uint64
 	points := confStream(seed, 20_000)
@@ -37,10 +36,9 @@ func offeredStream(eng rap.Profiler, seed uint64) uint64 {
 		offered += w
 	}
 	for i := 0; i < 4; i++ {
-		// Jump updates: a single weight that promotes an 8-bit counter
-		// straight past the 16-bit class.
-		eng.AddN(rng.Uint64n(1<<16), 1<<20)
-		offered += 1 << 20
+		// Jump updates: a single weight that spills a counter.
+		eng.AddN(rng.Uint64n(1<<16), 1<<32)
+		offered += 1 << 32
 	}
 	return offered
 }
@@ -78,12 +76,12 @@ func TestConformanceMassConservation(t *testing.T) {
 
 			check("after ingest", eng, eng, offered)
 
-			// Merge-batch compaction (pool rebuild included) conserves mass.
+			// Merge-batch compaction (spill rebuild included) conserves mass.
 			eng.Finalize()
 			check("after finalize", eng, eng, offered)
 
-			// Epoch publication deep-copies the counter pools: the pinned
-			// reader's mass stays frozen while the writer keeps promoting.
+			// Epoch publication copies the spill slab: the pinned reader's
+			// mass stays frozen while the writer keeps spilling.
 			if ep, ok := rap.ReaderOf(eng); ok {
 				more := offeredStream(eng, 777)
 				check("pinned epoch", ep, eng, offered)
