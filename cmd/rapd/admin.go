@@ -292,12 +292,12 @@ func (a *admin) facts() []flight.Fact {
 		{Key: "nodes", Value: fmt.Sprintf("%d", st.Nodes)},
 		{Key: "dropped", Value: fmt.Sprintf("%d", st.Dropped)},
 	}
-	// Enabling read snapshots publishes the first epoch, so Current is
-	// never nil here.
+	// Enabling read snapshots publishes the first epoch, so the publish
+	// time is never zero here.
 	pub := a.in.Engine().Publisher()
 	out = append(out,
 		flight.Fact{Key: "epoch seq", Value: fmt.Sprintf("%d", pub.Seq())},
-		flight.Fact{Key: "epoch age", Value: time.Since(pub.Current().PublishedAt()).Round(time.Millisecond).String()},
+		flight.Fact{Key: "epoch age", Value: time.Since(pub.LastPublishedAt()).Round(time.Millisecond).String()},
 	)
 	if adm := a.in.Admission(); adm != nil {
 		ws := adm.WatchdogState()

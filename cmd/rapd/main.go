@@ -108,8 +108,6 @@ type cliConfig struct {
 	auditSpanBits int           // minimum audited range width, in bits
 	auditSample   uint64        // adoption gate: 1 in N hash values
 
-	snapshotEvery uint64 // offered events between epoch publishes
-
 	admit          bool   // run the randomized admission frontend
 	admitPeriod    uint64 // base coin period at Normal
 	admitArenaSoft uint64 // watchdog soft arena threshold, bytes
@@ -166,7 +164,6 @@ func parseFlags(args []string, errOut io.Writer) cliConfig {
 	fs.IntVar(&c.auditRanges, "audit-ranges", audit.DefaultMaxRanges, "maximum sampled ranges audited at once")
 	fs.IntVar(&c.auditSpanBits, "audit-span-bits", audit.DefaultSpanBits, "minimum audited range width, in bits")
 	fs.Uint64Var(&c.auditSample, "audit-sample", audit.DefaultSamplePeriod, "range adoption gate: 1 in N of the hash space seeds a new audited range")
-	fs.Uint64Var(&c.snapshotEvery, "snapshot-every", 0, "offered events between epoch publishes (0: default 65536)")
 	fs.BoolVar(&c.admit, "admit", false, "run the randomized admission frontend (cold points pay a coin toll; refused mass is ledgered into bounds)")
 	fs.Uint64Var(&c.admitPeriod, "admit-period", 8, "admission coin period at Normal (cold point passes with probability 1/period)")
 	fs.Uint64Var(&c.admitArenaSoft, "admit-arena-soft", 8<<20, "watchdog arena bytes that escalate admission to Defensive")
@@ -268,8 +265,9 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 	cfg.Epsilon = c.epsilon
 	cfg.UniverseBits = c.universe
 	cfg.Branch = c.branch
-	// Queries, /v1 included, always answer lock-free from a published
-	// epoch, never by locking every shard to merge a fresh cut.
+	// Queries always answer from published epochs. Each /v1 request pins
+	// one cut as of its arrival (Engine.Reader), which copies each shard
+	// under that shard's lock alone, never by holding every shard at once.
 	opts := ingest.Options{
 		Tree:            cfg,
 		Shards:          c.shards,
@@ -280,7 +278,6 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 		CheckpointDir:   c.checkpointDir,
 		CheckpointEvery: c.checkpointEvery,
 		ReadSnapshots:   true,
-		SnapshotEvery:   c.snapshotEvery,
 		Logger:          logger,
 	}
 	switch c.drop {
@@ -548,7 +545,6 @@ func (c cliConfig) effective() map[string]any {
 		"flight_depth":     c.flightDepth,
 		"audit":            c.audit,
 		"admit":            c.admit,
-		"snapshot_every":   c.snapshotEvery,
 	}
 	if c.bench != "" {
 		eff["bench"], eff["kind"], eff["gen_n"], eff["seed"] = c.bench, c.kind, c.genN, c.seed

@@ -13,9 +13,10 @@ import (
 
 // The versioned query API: /v1/estimate, /v1/hotranges, and /v1/stats
 // serve profile answers from the engine's epoch read path. Each request
-// pins one epoch (Reader), answers every sub-query from it, and releases
-// it — multi-field responses are internally consistent even while ingest
-// runs at full rate. Responses embed the epoch stanza and carry it in
+// pins one epoch cut as of its arrival (Reader), answers every sub-query
+// from it, and releases it — answers hold every event applied before the
+// request, and multi-field responses are internally consistent even while
+// ingest runs at full rate. Responses embed the epoch stanza and carry it in
 // the X-RAP-Epoch-Seq / X-RAP-Epoch-Cut headers so callers can reason
 // about staleness and monotonicity without parsing bodies. When the
 // admission watchdog is at Siege the query plane sheds load with 429s:
@@ -139,14 +140,26 @@ func (a *admin) acquireEpoch(w http.ResponseWriter) *core.Epoch {
 }
 
 // writeEpochJSON sets the staleness headers from the answering epoch and
-// encodes body as JSON.
+// writes body as one line of compact JSON in a single write with its
+// Content-Length, so even a large /v1/hotranges answer is not chunked.
+// The endpoints people read (/statusz, /audit, /profilez, /alerts) stay
+// indented.
 func writeEpochJSON(w http.ResponseWriter, e *core.Epoch, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-RAP-Epoch-Seq", strconv.FormatUint(e.Seq(), 10))
-	w.Header().Set("X-RAP-Epoch-Cut", strconv.FormatUint(e.CutN(), 10))
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body)
+	b, err := json.Marshal(body)
+	if err != nil {
+		writeStatus(w, http.StatusInternalServerError, map[string]any{
+			"status": "error",
+			"reason": err.Error(),
+		})
+		return
+	}
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	h.Set("X-RAP-Epoch-Seq", strconv.FormatUint(e.Seq(), 10))
+	h.Set("X-RAP-Epoch-Cut", strconv.FormatUint(e.CutN(), 10))
+	w.Write(b)
 }
 
 // queryU64 parses a required uint64 query parameter; accepts decimal or

@@ -3,15 +3,20 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"rap/internal/ingest"
 	"rap/internal/obs"
+	"rap/internal/trace"
 )
 
 // TestQueryAPIEndToEnd runs a read-snapshot pipeline and exercises the
@@ -31,7 +36,7 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	c := cliConfig{
 		traces: []string{path},
 		shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4,
-		readTimeout: 5 * time.Second, maxRetries: 2, snapshotEvery: 1024,
+		readTimeout: 5 * time.Second, maxRetries: 2,
 		audit: true, auditEvery: time.Hour,
 		auditRanges: 16, auditSpanBits: 8, auditSample: 16,
 	}
@@ -84,6 +89,7 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &est); err != nil {
 		t.Fatalf("/v1/estimate not JSON: %v\n%s", err, body)
 	}
+	requireCompact(t, "/v1/estimate", body, hdr, "lo", "hi", "estimate", "low", "high", "epoch")
 	if est.Epoch.Seq == 0 {
 		t.Fatalf("epoch seq 0 from the epoch read path:\n%s", body)
 	}
@@ -123,6 +129,7 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &hot); err != nil {
 		t.Fatalf("/v1/hotranges not JSON: %v\n%s", err, body)
 	}
+	requireCompact(t, "/v1/hotranges", body, hdr, "theta", "n", "ranges", "epoch")
 	if len(hot.Ranges) == 0 {
 		t.Fatalf("no hot ranges on a zipf stream:\n%s", body)
 	}
@@ -140,7 +147,7 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	}
 
 	// /v1/stats reconciles with the engine.
-	code, body, _ = get(t, base+"/v1/stats")
+	code, body, hdr = get(t, base+"/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("/v1/stats = %d: %s", code, body)
 	}
@@ -155,6 +162,8 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/v1/stats not JSON: %v\n%s", err, body)
 	}
+	requireCompact(t, "/v1/stats", body, hdr, "n", "unadmitted_n", "nodes", "max_nodes",
+		"memory_bytes", "arena_bytes", "splits", "merges", "merge_batches", "height", "epoch")
 	if st.N != uint64(len(vals)) {
 		t.Fatalf("/v1/stats n = %d after final publish, want %d", st.N, len(vals))
 	}
@@ -228,5 +237,119 @@ func TestQueryAPIEndToEnd(t *testing.T) {
 	}
 	if sc.samples["rap_epoch_pinned_readers"] != 0 {
 		t.Fatalf("pinned readers leaked: %v", sc.samples["rap_epoch_pinned_readers"])
+	}
+}
+
+// requireCompact checks a /v1 body is one line of JSON, sent whole with
+// its Content-Length, whose object has exactly the named fields and an
+// epoch stanza of seq, cut_events and age_seconds.
+func requireCompact(t *testing.T, path, body string, hdr http.Header, fields ...string) {
+	t.Helper()
+	if strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "\n") {
+		t.Fatalf("%s body is not one line:\n%s", path, body)
+	}
+	if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Fatalf("%s Content-Length %q for a %d-byte body", path, cl, len(body))
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("%s not JSON: %v", path, err)
+	}
+	var epoch map[string]json.RawMessage
+	if err := json.Unmarshal(doc["epoch"], &epoch); err != nil {
+		t.Fatalf("%s epoch stanza: %v", path, err)
+	}
+	for _, c := range []struct {
+		obj  map[string]json.RawMessage
+		want []string
+	}{{doc, fields}, {epoch, []string{"seq", "cut_events", "age_seconds"}}} {
+		var got []string
+		for k := range c.obj {
+			got = append(got, k)
+		}
+		want := slices.Clone(c.want)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s fields %v, want %v", path, got, want)
+		}
+	}
+}
+
+// TestV1AnswersAsOfRequest feeds K events through a pipe to an ingestor
+// serving /v1, as rapd -stdin does, with K below the publish cadence and
+// the run far shorter than the 1 s republish ticker. Once the source
+// ledger shows all K applied, the next /v1/stats must describe all K: a
+// pinned /v1 answer is cut as of its request.
+func TestV1AnswersAsOfRequest(t *testing.T) {
+	const k = 50_000
+	c := parseFlags([]string{"-stdin"}, io.Discard)
+	opts, err := c.options(discardLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Metrics = obs.NewRegistry()
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	specs, err := c.specs(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ingest.Open(opts, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &admin{in: in, reg: opts.Metrics, start: time.Now()}
+	addr, stop, err := serveAdmin("127.0.0.1:0", a, discardLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	done := make(chan error, 1)
+	go func() { done <- in.Run(context.Background()) }()
+
+	rng := rand.New(rand.NewSource(5))
+	zipf := rand.NewZipf(rng, 1.2, 8, 1<<20-1)
+	w := trace.NewWriter(pw)
+	for i := 0; i < k; i++ {
+		if err := w.Write(trace.Event{Value: zipf.Uint64(), Weight: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The pipe stays open: the run is live and only a read can cut.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if applied := in.Stats().Sources[0].Applied; applied == k {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("ledger shows %d of %d events applied", applied, k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	code, body, _ := get(t, "http://"+addr+"/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/stats = %d: %s", code, body)
+	}
+	var st struct {
+		N     uint64 `json:"n"`
+		Epoch struct {
+			CutEvents uint64 `json:"cut_events"`
+		} `json:"epoch"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("/v1/stats not JSON: %v\n%s", err, body)
+	}
+	if st.Epoch.CutEvents != k || st.N != k {
+		t.Fatalf("/v1/stats right after %d applied: cut_events %d, n %d", k, st.Epoch.CutEvents, st.N)
+	}
+
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

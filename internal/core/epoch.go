@@ -7,27 +7,29 @@ import (
 
 // DefaultPublishEvery is the default publish cadence for epoch read
 // snapshots: a fresh epoch is cut after this much offered event weight.
-// 64Ki events keeps worst-case staleness small relative to any realistic
-// merge interval. A publish clones every shard holding mass and merges
-// the later clones into the first, so with one populated shard it is one
-// slab copy (about 42 KB in 3 allocations for 3.3k nodes, under 1 B per
-// event at this cadence); each further populated shard adds a clone and a
+// It keeps the lock-free unpinned queries (the sharded engine's Estimate,
+// EstimateBounds and HotRanges) and the epoch gauges within 64Ki events
+// of the stream; a pinned reader cuts its own epoch and lags by nothing.
+// A publish copies every shard holding mass and merges the later copies
+// into the first, so with one populated shard it is one slab copy, into
+// the tree of a retired epoch once one has been donated (see
+// EpochPublisher.Spare); each further populated shard adds a clone and a
 // merge.
 const DefaultPublishEvery = 1 << 16
 
 // Epoch is one immutable published snapshot of a profile: a read-only
 // clone of the tree cut at a known point in the stream, served without
 // any locks. Epochs are produced by an EpochPublisher (see the sharded
-// engine's EnableReadSnapshots); queries on
-// an Epoch touch only the frozen clone, so they never contend with
-// ingest.
+// engine's EnableReadSnapshots); queries on an Epoch touch only the
+// frozen clone, so they never contend with ingest.
 //
 // Epochs obtained from EpochPublisher.Acquire are pinned and must be
-// released with Release exactly once; epochs observed via Current are
-// unpinned views valid for the duration of a single call chain. The Go
-// GC keeps the underlying arena alive as long as any reference exists —
-// pinning is lifecycle accounting (retirement is deferred until the
-// reader count drains), not a memory-safety requirement.
+// released with Release exactly once; the epoch, its Tree included, is
+// valid until then. The pin guards the tree's storage, not only the
+// accounting: once a superseded epoch has no pins its tree may be
+// donated to the publisher and overwritten by a later cut. An epoch
+// observed via Current is marked shared and is never donated, so it
+// stays valid for as long as the caller holds it.
 type Epoch struct {
 	tree        *Tree
 	seq         uint64
@@ -36,6 +38,7 @@ type Epoch struct {
 	pins        atomic.Int64
 	superseded  atomic.Bool
 	retiredMark atomic.Bool
+	shared      atomic.Bool     // handed out unpinned by Current: never donated
 	pub         *EpochPublisher // nil for detached epochs
 }
 
@@ -80,7 +83,8 @@ func (e *Epoch) HotRanges(theta float64) []HotRange { return e.tree.HotRanges(th
 func (e *Epoch) Stats() Stats { return e.tree.Stats() }
 
 // Tree exposes the underlying frozen tree for read-only analysis
-// (rendering, coverage curves). Callers must not mutate it.
+// (rendering, coverage curves). Callers must not mutate it, and must not
+// use it past Release.
 func (e *Epoch) Tree() *Tree { return e.tree }
 
 // Release unpins an epoch obtained from Acquire. The last reader of a
@@ -96,13 +100,18 @@ func (e *Epoch) Release() {
 }
 
 // maybeRetire marks the epoch retired once it is superseded and has no
-// pinned readers. The CAS makes retirement count exactly once even when
-// the publisher and the last reader race here.
+// pinned readers, and donates its tree to the publisher as the spare the
+// next cut copies into, unless Current handed the epoch out. The CAS
+// makes retirement count, and donate, exactly once even when the
+// publisher and the last reader race here.
 func (e *Epoch) maybeRetire() {
 	if e.superseded.Load() && e.pins.Load() == 0 &&
 		e.retiredMark.CompareAndSwap(false, true) {
 		if e.pub != nil {
 			e.pub.retired.Add(1)
+			if !e.shared.Load() {
+				e.pub.spare.Store(e.tree)
+			}
 		}
 	}
 }
@@ -111,12 +120,15 @@ func (e *Epoch) maybeRetire() {
 // writer publishes immutable clones with an atomic pointer swap; readers
 // either peek at the current epoch (Current, no pin) or pin one for
 // multi-query consistency (Acquire/Release). Superseded epochs are
-// retired once their reader count drains.
+// retired once their reader count drains, and the tree of a retired
+// epoch nobody was handed unpinned becomes the spare the next cut is
+// copied into.
 //
 // Publish must be externally serialized (the sharded engine calls it
 // under its publish mutex); everything else is safe from any goroutine.
 type EpochPublisher struct {
 	cur     atomic.Pointer[Epoch]
+	spare   atomic.Pointer[Tree] // a retired epoch's tree, for the next cut
 	seq     atomic.Uint64
 	retired atomic.Uint64
 	pinned  atomic.Int64
@@ -126,6 +138,11 @@ type EpochPublisher struct {
 // NewEpochPublisher returns an empty publisher; Current returns nil
 // until the first Publish.
 func NewEpochPublisher() *EpochPublisher { return new(EpochPublisher) }
+
+// Spare takes the tree a retired epoch donated, for the next cut to copy
+// into with Tree.CloneInto, or returns nil when there is none. The caller
+// owns the tree: no epoch references it any more.
+func (p *EpochPublisher) Spare() *Tree { return p.spare.Swap(nil) }
 
 // Publish freezes t as the new current epoch and supersedes the old one.
 // t must be a private clone the caller will never touch again — the
@@ -148,15 +165,26 @@ func (p *EpochPublisher) Publish(t *Tree) *Epoch {
 }
 
 // Current returns the latest published epoch without pinning it, or nil
-// before the first publish. The returned epoch stays valid (the GC keeps
-// it alive), but a long-lived reader that wants a stable view across
-// several queries should use Acquire instead.
-func (p *EpochPublisher) Current() *Epoch { return p.cur.Load() }
+// before the first publish. The epoch is marked shared while pinned, so
+// its tree is never donated to a later cut: it stays valid for as long as
+// the caller holds it, however many epochs follow. A reader that wants
+// the stream as of its call, or a stable view across several queries
+// that it gives back, should use Acquire (or the engine's Reader)
+// instead.
+func (p *EpochPublisher) Current() *Epoch {
+	e := p.Acquire()
+	if e != nil {
+		e.shared.Store(true)
+		e.Release()
+	}
+	return e
+}
 
 // Acquire pins and returns the current epoch, or nil before the first
 // publish. The caller must Release it exactly once. The pin-recheck loop
 // guarantees the returned epoch was current at some instant after the
-// pin landed, so its retirement is deferred until Release.
+// pin landed, so its retirement, and the donation of its tree, is
+// deferred until Release.
 func (p *EpochPublisher) Acquire() *Epoch {
 	for {
 		e := p.cur.Load()

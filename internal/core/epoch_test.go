@@ -82,3 +82,48 @@ func TestDetachedEpoch(t *testing.T) {
 		t.Fatalf("N after release = %d, want 3", got)
 	}
 }
+
+// TestEpochDonatesTreeOnlyWhenUnreachable: a retired epoch's tree becomes
+// the publisher's spare only once it is superseded and unpinned, and
+// never when Current handed the epoch out.
+func TestEpochDonatesTreeOnlyWhenUnreachable(t *testing.T) {
+	p := NewEpochPublisher()
+	t1, t2, t3, t4 := epochTestTree(1), epochTestTree(2), epochTestTree(3), epochTestTree(4)
+	p.Publish(t1)
+	if p.Spare() != nil {
+		t.Fatal("spare before any epoch retired")
+	}
+
+	p.Publish(t2) // epoch 1: superseded, unpinned
+	if got := p.Spare(); got != t1 {
+		t.Fatalf("spare %p after epoch 1 retired, want its tree %p", got, t1)
+	}
+	if p.Spare() != nil {
+		t.Fatal("Spare handed the same tree out twice")
+	}
+
+	e2 := p.Acquire()
+	p.Publish(t3) // epoch 2: superseded but pinned
+	if p.Spare() != nil {
+		t.Fatal("a pinned epoch donated its tree")
+	}
+	e2.Release()
+	if got := p.Spare(); got != t2 {
+		t.Fatalf("spare %p after the last pin of epoch 2 drained, want %p", got, t2)
+	}
+
+	e3 := p.Current()
+	if p.Pinned() != 0 {
+		t.Fatalf("Current left %d pins", p.Pinned())
+	}
+	p.Publish(t4) // epoch 3: superseded and unpinned, but handed out by Current
+	if p.Retired() != 3 {
+		t.Fatalf("retired = %d, want 3", p.Retired())
+	}
+	if p.Spare() != nil {
+		t.Fatal("an epoch handed out by Current donated its tree")
+	}
+	if e3.Tree() != t3 || e3.Tree().N() != 1 {
+		t.Fatal("epoch from Current lost its tree")
+	}
+}

@@ -134,22 +134,48 @@ func (t *Tree) resplit(vi uint32, lo uint64) {
 // Clone returns a deep copy of the tree sharing no storage with t: one
 // slab copy of the arena, copies of the freelists, and a copy of the
 // spill slab, preserving the donor's layout (slots and spill references
-// mean the same thing in both trees). The spill copy is load-bearing for
+// mean the same thing in both trees) and its slab capacities, so the copy
+// reports the donor's ArenaBytes. The spill copy is load-bearing for
 // epoch publication: an aliased slab would let the writer's adds to
 // spilled counters race readers of the published snapshot. Hooks and the
 // event tap are not carried over: a clone is a passive snapshot.
-func (t *Tree) Clone() *Tree {
-	nt := *t
-	nt.hooks = nil
-	nt.tap = nil
-	nt.adm = nil // the clone is a passive snapshot; it keeps the unadmitted ledger
+func (t *Tree) Clone() *Tree { return t.CloneInto(nil) }
+
+// CloneInto makes dst the Clone of t, copying into dst's slabs wherever
+// they hold t's capacity, and returns it; a nil dst allocates a new tree.
+// The result equals t.Clone() in everything but storage, and shares none
+// with t. Epoch publication copies each cut into the tree of a retired
+// epoch this way, so a cut allocates nothing once the slabs fit. dst must
+// not be t, and nothing else may read or write dst during or after the
+// call: its old contents are gone.
+func (t *Tree) CloneInto(dst *Tree) *Tree {
+	if dst == nil {
+		dst = new(Tree)
+	}
+	arena, spill, free := dst.arena, dst.spill, dst.free
+	*dst = *t
+	dst.hooks = nil
+	dst.tap = nil
+	dst.adm = nil // the clone is a passive snapshot; it keeps the unadmitted ledger
 	// A shared table would let a clone that writes plant its slot indices
 	// in the donor's; a clone that descends builds its own.
-	nt.start = nil
-	nt.arena = append([]node(nil), t.arena...)
+	dst.start = nil
+	dst.arena = copySlab(arena, t.arena)
+	dst.spill = copySlab(spill, t.spill)
 	for k, fl := range t.free {
-		nt.free[k] = append([]uint32(nil), fl...)
+		dst.free[k] = append(free[k][:0], fl...)
 	}
-	nt.spill = append([]uint64(nil), t.spill...)
-	return &nt
+	return dst
+}
+
+// copySlab copies src into dst's storage when it can hold cap(src), and
+// into a new slab otherwise. The copy has src's length and capacity; an
+// empty src lets dst's storage go.
+func copySlab[T any](dst, src []T) []T {
+	if cap(dst) < cap(src) || cap(src) == 0 {
+		dst = make([]T, len(src), cap(src))
+	}
+	dst = dst[:len(src):cap(src)]
+	copy(dst, src)
+	return dst
 }

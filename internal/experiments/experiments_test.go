@@ -1,3 +1,8 @@
+// The experiments start no goroutine, so the race detector has nothing
+// to find here and only slows them tenfold; CI runs them without -race.
+
+//go:build !race
+
 package experiments
 
 import (

@@ -162,18 +162,15 @@ type Options struct {
 	AdmissionObserveEvery time.Duration
 
 	// ReadSnapshots enables the epoch-published read path on the engine:
-	// immutable merged snapshots are published on a cadence and
-	// Estimate/EstimateBounds/HotRanges answer from the current epoch
-	// with zero lock acquisitions, so queries (the rapd /v1 API, audits'
-	// operators, dashboards) never contend with ingest.
+	// a pinned reader (Engine.Reader, the rapd /v1 API) cuts an immutable
+	// merged snapshot as of its call, and Estimate/EstimateBounds/
+	// HotRanges answer from the current epoch with zero lock acquisitions,
+	// so queries never contend with ingest. The apply workers also publish
+	// every core.DefaultPublishEvery offered events, and on slow or idle
+	// streams Run publishes once a second (snapshotMaxStale) whenever
+	// events arrived since the last publish; those epochs serve the
+	// unpinned queries and the rap_epoch_* gauges.
 	ReadSnapshots bool
-
-	// SnapshotEvery is the offered-event cadence between epoch publishes
-	// (default core.DefaultPublishEvery, 64Ki events). Only meaningful
-	// with ReadSnapshots. On slow or idle streams Run also publishes once a
-	// second (snapshotMaxStale) whenever events arrived since the last
-	// publish.
-	SnapshotEvery uint64
 
 	// Tracer, when set, threads request-scoped spans through the pipeline:
 	// each enqueued batch becomes a trace whose children cover the
@@ -440,7 +437,7 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 	// already carries any recovered state (and before metrics register,
 	// so the rap_epoch_* gauges find a live publisher).
 	if opts.ReadSnapshots {
-		engine.EnableReadSnapshots(opts.SnapshotEvery)
+		engine.EnableReadSnapshots(0)
 	}
 	// Structural events ride on the tracer only beside the metrics plane,
 	// the same condition under which the tree hooks are installed.
@@ -696,18 +693,13 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 		start = time.Now()
 	}
 
-	// Only a kept batch pays for stat deltas and trigger attribution; the
-	// merge-batch / epoch-publish children exist to explain a slow apply
-	// in a recorded trace, not to census those events.
+	// Only a kept batch pays for stat deltas; the merge-batch /
+	// epoch-publish children exist to explain a slow apply in a recorded
+	// trace, not to census those events.
 	sampled := b.head.Sampled()
 	var mergesBefore, mergesAfter uint64
-	pub := in.engine.Publisher()
-	var pubBefore uint64
-	if sampled && pub != nil {
-		pubBefore = pub.Published()
-	}
 
-	in.engine.WithShard(q.idx, func(tr *core.Tree) {
+	published := in.engine.WithShard(q.idx, func(tr *core.Tree) {
 		if sampled {
 			mergesBefore = tr.Stats().MergeBatches
 		}
@@ -739,11 +731,7 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 	}
 	var qw, ap *span.Span
 	if in.opts.Tracer.Keep(b.head, end.Sub(b.enqueuedAt)) {
-		var epochs uint64
-		if sampled && pub != nil {
-			epochs = pub.Published() - pubBefore
-		}
-		qw, ap = in.traceBatch(q, b, start, end, mergesAfter-mergesBefore, epochs)
+		qw, ap = in.traceBatch(q, b, start, end, mergesAfter-mergesBefore, published)
 	}
 	if in.aQueueWait == nil {
 		return
@@ -762,13 +750,14 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 
 // traceBatch builds and ends a kept batch's spans: the ingest.batch root
 // from enqueue to the apply's end, a queue_wait child up to the drain, and
-// an apply child after it. Merge batches and epoch publishes happen
-// inside the tree during the apply with no context of their own, so the
-// deltas a sampled batch counted across it become merge_batch and
-// epoch_publish children of apply, covering the apply window with the
-// trigger named. It returns the queue_wait and apply spans, whose IDs the
-// stage profiles keep as exemplars.
-func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, merges, epochs uint64) (qw, ap *span.Span) {
+// an apply child after it. Merge batches and the cadence publish happen
+// during the apply with no context of their own, so the merge batches a
+// sampled batch counted across it, and the publish its apply made, become
+// merge_batch and epoch_publish children of apply, covering the apply
+// window with the trigger named. Epochs cut by readers on other
+// goroutines are not the apply's. It returns the queue_wait and apply
+// spans, whose IDs the stage profiles keep as exemplars.
+func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, merges uint64, published bool) (qw, ap *span.Span) {
 	tr := in.opts.Tracer
 	root := tr.StartRootFrom(b.head, "ingest.batch", b.enqueuedAt)
 	qw = tr.StartChildAt(root.Context(), "queue_wait", b.enqueuedAt)
@@ -780,10 +769,9 @@ func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, m
 		mb.SetAttr("batches", strconv.FormatUint(merges, 10))
 		mb.EndAt(end)
 	}
-	if epochs > 0 {
+	if published {
 		ep := tr.StartChildAt(ap.Context(), "epoch_publish", drained)
 		ep.SetAttr("trigger", "offered-mass cadence")
-		ep.SetAttr("epochs", strconv.FormatUint(epochs, 10))
 		ep.EndAt(end)
 	}
 	ap.EndAt(end)

@@ -25,11 +25,12 @@ func TestIngestSpans(t *testing.T) {
 	opts.Metrics = reg
 	opts.Tracer = tr
 	opts.ReadSnapshots = true
-	opts.SnapshotEvery = 1 << 12
 	opts.CheckpointDir = t.TempDir()
 	opts.BatchLen = 256
 
-	vals := zipfVals(40_000, 7)
+	// Past core.DefaultPublishEvery, so the cadence publishes inside an
+	// apply.
+	vals := zipfVals(80_000, 7)
 	in, err := Open(opts, []SourceSpec{sliceSpec("traced", vals)})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestIngestSpans(t *testing.T) {
 	if events == 0 {
 		t.Fatal("no split/merge events recorded beside the metrics plane")
 	}
-	// 40k events at SnapshotEvery=4096 must publish inside applies.
+	// 80k events at the default 64Ki cadence must publish inside an apply.
 	if publishes == 0 {
 		t.Fatal("no epoch_publish span attributed to a batch apply")
 	}
@@ -257,6 +258,49 @@ func TestBatchSpansAndAllocs(t *testing.T) {
 	for _, name := range []string{"ingest.batch", "queue_wait", "apply"} {
 		if built[name] != entries {
 			t.Errorf("%d %s spans for %d sampled queue entries, want one each", built[name], name, entries)
+		}
+	}
+}
+
+// TestReaderCutsAreNotApplySpans: epochs that readers cut on other
+// goroutines while a batch applies are not that apply's publish. With
+// readers cutting throughout and fewer events than one publish cadence,
+// no apply published, so no batch trace may carry an epoch_publish span.
+func TestReaderCutsAreNotApplySpans(t *testing.T) {
+	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 16, SlowThreshold: -1})
+	opts := testOptions(1)
+	opts.Tracer = tr
+	opts.ReadSnapshots = true
+	opts.BatchLen = 16
+	in, err := Open(opts, []SourceSpec{sliceSpec("traced", zipfVals(40_000, 7))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				in.Engine().Reader().Release()
+			}
+		}
+	}()
+	err = in.Run(context.Background())
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := in.Engine().Publisher().Published(); got < 3 {
+		t.Fatalf("readers cut %d epochs; the test needs them cutting during applies", got)
+	}
+	for _, s := range tr.Spans() {
+		if s.Name == "epoch_publish" {
+			t.Fatalf("an apply below the publish cadence carries an epoch_publish span: %+v", s)
 		}
 	}
 }

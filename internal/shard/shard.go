@@ -38,22 +38,25 @@ var ErrShardCount = errors.New("shard: snapshot shard count mismatch")
 // Engine is a sharded RAP profiler. Construction parameters are fixed for
 // the engine's lifetime; all methods are safe for concurrent use.
 //
-// With EnableReadSnapshots the engine periodically publishes an immutable
-// merged clone of all shards as an Epoch; Estimate, EstimateBounds, and
-// HotRanges then answer from the current epoch with zero lock
-// acquisitions, so queries never contend with ingest.
+// With EnableReadSnapshots the engine publishes immutable merged clones of
+// all shards as Epochs: Reader cuts one as of its call, and Estimate,
+// EstimateBounds, and HotRanges answer from the current epoch with zero
+// lock acquisitions, so those queries never contend with ingest.
 type Engine struct {
 	cfg    core.Config
 	shards []*treeShard
 	next   atomic.Uint64 // round-robin cursor for Handle and Add; see pick
 
 	// Epoch read path. pub is nil until EnableReadSnapshots. pubMu
-	// serializes publishes (writer-side only — readers never touch it);
-	// pubPend counts offered events since the last publish.
-	pub      atomic.Pointer[core.EpochPublisher]
-	pubEvery atomic.Uint64
-	pubPend  atomic.Uint64
-	pubMu    sync.Mutex
+	// serializes cuts; pubPend counts offered events since the last cut
+	// began. cutsBegun and cutsDone count cuts at their start and after
+	// their publish, so they differ while one is in flight.
+	pub       atomic.Pointer[core.EpochPublisher]
+	pubEvery  atomic.Uint64
+	pubPend   atomic.Uint64
+	pubMu     sync.Mutex
+	cutsBegun atomic.Uint64
+	cutsDone  atomic.Uint64
 }
 
 // treeShard is one stripe: a tree and the lock that guards it. Shards are
@@ -121,7 +124,7 @@ func (e *Engine) pick() *treeShard {
 }
 
 // Reader returns a pinned consistent epoch spanning the whole engine
-// (all shards merged), for multi-query consistency; see Engine.Reader.
+// (all shards merged) as of the call; see Engine.Reader.
 func (h *Handle) Reader() *core.Epoch { return h.eng.Reader() }
 
 // Add records one occurrence of p on the handle's shard.
@@ -131,8 +134,9 @@ func (h *Handle) Add(p uint64) { h.AddN(p, 1) }
 func (h *Handle) AddN(p uint64, weight uint64) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddN(p, weight)
+	due := h.eng.credit(weight)
 	h.sh.mu.Unlock()
-	h.eng.notePub(weight)
+	h.eng.publishIfDue(due)
 }
 
 // AddBatch records a run of points under one lock acquisition, with
@@ -140,8 +144,9 @@ func (h *Handle) AddN(p uint64, weight uint64) {
 func (h *Handle) AddBatch(points []uint64) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddBatch(points)
+	due := h.eng.credit(uint64(len(points)))
 	h.sh.mu.Unlock()
-	h.eng.notePub(uint64(len(points)))
+	h.eng.publishIfDue(due)
 }
 
 // AddSamples records a chunk of weighted events under one lock
@@ -150,8 +155,9 @@ func (h *Handle) AddBatch(points []uint64) {
 func (h *Handle) AddSamples(samples []core.Sample) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddSamples(samples)
+	due := h.eng.credit(uint64(len(samples)))
 	h.sh.mu.Unlock()
-	h.eng.notePub(uint64(len(samples)))
+	h.eng.publishIfDue(due)
 }
 
 // Add records one occurrence of p on a round-robin shard. Handle-free
@@ -165,8 +171,9 @@ func (e *Engine) AddN(p uint64, weight uint64) {
 	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddN(p, weight)
+	due := e.credit(weight)
 	sh.mu.Unlock()
-	e.notePub(weight)
+	e.publishIfDue(due)
 }
 
 // AddBatch records a batch of points on one round-robin shard under a
@@ -175,8 +182,9 @@ func (e *Engine) AddBatch(points []uint64) {
 	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddBatch(points)
+	due := e.credit(uint64(len(points)))
 	sh.mu.Unlock()
-	e.notePub(uint64(len(points)))
+	e.publishIfDue(due)
 }
 
 // AddSamples records a chunk of weighted events on one round-robin shard
@@ -185,41 +193,47 @@ func (e *Engine) AddSamples(samples []core.Sample) {
 	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddSamples(samples)
+	due := e.credit(uint64(len(samples)))
 	sh.mu.Unlock()
-	e.notePub(uint64(len(samples)))
+	e.publishIfDue(due)
 }
 
 // WithShard runs fn on shard i's tree with that shard's lock held. It is
 // the embedding hook internal/ingest builds its batch appliers and
-// consistent checkpoints on. fn must not call back into the engine.
-func (e *Engine) WithShard(i int, fn func(t *core.Tree)) {
+// consistent checkpoints on. fn must not call back into the engine. It
+// reports whether the mass fn added lapsed the publish cadence and this
+// call published an epoch.
+func (e *Engine) WithShard(i int, fn func(t *core.Tree)) (published bool) {
 	sh := e.shards[i]
 	sh.mu.Lock()
 	before := sh.tree.N() + sh.tree.UnadmittedN()
 	fn(sh.tree)
-	after := sh.tree.N() + sh.tree.UnadmittedN()
-	sh.mu.Unlock()
 	// Direct-shard mutators (the ingest apply path) must still credit the
 	// publish cadence; the offered-mass delta is read under the same lock
 	// as the mutation, so the accounting is exact.
-	if after > before {
-		e.notePub(after - before)
+	due := false
+	if after := sh.tree.N() + sh.tree.UnadmittedN(); after > before {
+		due = e.credit(after - before)
 	}
+	sh.mu.Unlock()
+	return e.publishIfDue(due)
 }
 
 // EnableReadSnapshots switches the engine's query methods to the epoch
-// read path: every `every` offered events (0 selects
-// core.DefaultPublishEvery) the shards holding any mass are cloned — one
-// slab copy each, under that shard's lock only — the later clones are
-// merged into the first, and the result is published as an immutable
-// Epoch. The publish runs on whichever goroutine lapsed the cadence,
-// usually an ingesting one, so with one populated shard it costs one
-// slab copy and no merge. Estimate/EstimateBounds/HotRanges then answer
-// from the latest epoch with zero lock acquisitions. Idempotent; the
-// first call publishes an initial epoch so readers never observe an
-// empty window. Deployments without a steady event flow should also
-// call PublishNow on a timer to bound wall-clock staleness (the ingest
-// pipeline does this).
+// read path. Reader cuts a fresh epoch whenever offered mass has arrived
+// since the current one, so a pinned answer describes the stream as of
+// the call. Every `every` offered events (0 selects
+// core.DefaultPublishEvery) the goroutine that lapsed the cadence, usually
+// an ingesting one, also publishes a cut, and Estimate/EstimateBounds/
+// HotRanges answer from the latest epoch with zero lock acquisitions. A
+// cut copies each shard holding any mass under that shard's lock only —
+// the first into the tree of a retired epoch when one is spare, so it
+// allocates nothing once the slabs fit — and merges the later copies into
+// the first. Idempotent; the first call publishes an initial epoch so
+// readers never observe an empty window. Deployments without a steady
+// event flow should also call PublishNow on a timer to bound the
+// wall-clock staleness of the unpinned queries (the ingest pipeline does
+// this).
 func (e *Engine) EnableReadSnapshots(every uint64) {
 	if every == 0 {
 		every = core.DefaultPublishEvery
@@ -241,39 +255,62 @@ func (e *Engine) Publisher() *core.EpochPublisher { return e.pub.Load() }
 
 // Reader returns a pinned consistent epoch for multi-query consistency:
 // every query on the returned Epoch describes one merged cut of the
-// whole engine. The caller must Release it. When read snapshots are
-// disabled this degrades to a detached MergedTreeCut — same API, one
-// extra merge.
+// whole engine, taken no earlier than the call, so it holds every event
+// whose Add returned before it. The caller must Release it. When offered
+// mass has arrived since the current epoch, Reader cuts a fresh one under
+// the publish mutex, unless a cut that began after the call has already
+// done so, in which case readers waiting behind it share it. When read
+// snapshots are disabled this degrades to a detached MergedTreeCut —
+// same API, one extra merge.
 func (e *Engine) Reader() *core.Epoch {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Acquire(); ep != nil {
-			return ep
-		}
-	}
-	return core.NewDetachedEpoch(e.MergedTreeCut(nil))
-}
-
-// notePub credits w offered events toward the publish cadence and, when
-// the cadence lapses, publishes a fresh epoch. TryLock keeps ingest from
-// convoying on the publish mutex: whoever loses the race just keeps
-// ingesting, and the pending counter carries over.
-func (e *Engine) notePub(w uint64) {
 	p := e.pub.Load()
 	if p == nil {
-		return
+		return core.NewDetachedEpoch(e.MergedTreeCut(nil))
 	}
-	if e.pubPend.Add(w) < e.pubEvery.Load() {
-		return
+	// Order matters: a cut resets pubPend only after counting itself in
+	// cutsBegun, and counts itself in cutsDone only after its publish. So
+	// pubPend == 0 with no cut in flight means the current epoch holds
+	// every credited event, and pubPend == 0 while a cut is in flight
+	// means that cut began after the last credit and will hold it.
+	pending := e.pubPend.Load() > 0
+	arrived := e.cutsBegun.Load()
+	if pending || arrived != e.cutsDone.Load() {
+		e.pubMu.Lock()
+		if e.cutsBegun.Load() == arrived && e.pubPend.Load() > 0 {
+			e.publishInto(p)
+		}
+		e.pubMu.Unlock()
 	}
-	if !e.pubMu.TryLock() {
-		return
+	return p.Acquire()
+}
+
+// credit counts w offered events toward the publish cadence and reports
+// whether the cadence has lapsed. The caller holds the lock of the shard
+// that took the events, so whoever observes them through that lock (a
+// ledger read, a checkpoint) also finds them pending, and the next Reader
+// cuts them.
+func (e *Engine) credit(w uint64) bool {
+	if e.pub.Load() == nil {
+		return false
+	}
+	return e.pubPend.Add(w) >= e.pubEvery.Load()
+}
+
+// publishIfDue publishes a fresh epoch when credit reported the cadence
+// lapsed, and reports whether it did. The caller has released its shard
+// lock: a cut takes every shard's. TryLock keeps ingest from convoying on
+// the publish mutex: whoever loses the race just keeps ingesting, and the
+// pending counter carries over.
+func (e *Engine) publishIfDue(due bool) bool {
+	if !due || !e.pubMu.TryLock() {
+		return false
 	}
 	defer e.pubMu.Unlock()
 	if e.pubPend.Load() < e.pubEvery.Load() {
-		return // raced: another publisher already cut this window
+		return false // raced: another cut already took this window
 	}
-	e.pubPend.Store(0)
-	e.publishInto(p)
+	e.publishInto(e.pub.Load())
+	return true
 }
 
 // PublishNow unconditionally publishes a fresh epoch (no-op when read
@@ -287,7 +324,6 @@ func (e *Engine) PublishNow() {
 	}
 	e.pubMu.Lock()
 	defer e.pubMu.Unlock()
-	e.pubPend.Store(0)
 	e.publishInto(p)
 }
 
@@ -296,10 +332,16 @@ func (e *Engine) PublishNow() {
 // skip PublishNow when nothing arrived.
 func (e *Engine) PublishPending() uint64 { return e.pubPend.Load() }
 
-// publishInto cuts and publishes one merged epoch (see union). Callers
-// serialize via pubMu so epoch sequence numbers match publish order.
+// publishInto cuts and publishes one merged epoch (see union), copying the
+// first populated shard into the publisher's spare tree. Callers hold
+// pubMu, so epoch sequence numbers and cuts are monotone in publish
+// order. pubPend is reset after the cut is counted as begun and before
+// any shard is read; see Reader for why.
 func (e *Engine) publishInto(p *core.EpochPublisher) {
-	p.Publish(e.union(false))
+	e.cutsBegun.Add(1)
+	e.pubPend.Store(0)
+	p.Publish(e.union(false, p.Spare()))
+	e.cutsDone.Add(1)
 }
 
 // republish refreshes the current epoch after a wholesale tree swap
@@ -319,9 +361,10 @@ func (e *Engine) republish() {
 // up from an empty tree. With held false each shard is locked only while
 // it is cloned (one slab copy, not a tree walk) and the merges run
 // lock-free; with held true the caller holds every shard lock and later
-// shards merge straight from the live trees. The result is a passive
-// snapshot (no hooks, tap or gate).
-func (e *Engine) union(held bool) *core.Tree {
+// shards merge straight from the live trees. The first clone is copied
+// into spare when it is non-nil (see core.Tree.CloneInto). The result is a
+// passive snapshot (no hooks, tap or gate).
+func (e *Engine) union(held bool, spare *core.Tree) *core.Tree {
 	var m *core.Tree
 	for _, sh := range e.shards {
 		if !held {
@@ -331,7 +374,9 @@ func (e *Engine) union(held bool) *core.Tree {
 		switch {
 		case src.N() == 0 && src.UnadmittedN() == 0:
 			src = nil
-		case m == nil || !held:
+		case m == nil:
+			src = src.CloneInto(spare)
+		case !held:
 			src = src.Clone()
 		}
 		if !held {
@@ -359,7 +404,7 @@ func (e *Engine) union(held bool) *core.Tree {
 // dumps, analysis, and serialization. Shards are read one at a time, each
 // under its own lock only — queries never stop the world. The snapshot is
 // independent of the engine: mutating it does not touch live shards.
-func (e *Engine) MergedTree() *core.Tree { return e.union(false) }
+func (e *Engine) MergedTree() *core.Tree { return e.union(false, nil) }
 
 // Estimate returns the lower-bound estimate for [lo, hi] over the merged
 // view. The undershoot is at most eps*N() for tracked ranges. With read
@@ -367,12 +412,11 @@ func (e *Engine) MergedTree() *core.Tree { return e.union(false) }
 // acquisitions (the lower bound stays valid for the live stream: shards
 // only grow); otherwise it builds a fresh merged view.
 func (e *Engine) Estimate(lo, hi uint64) uint64 {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Current(); ep != nil {
-			return ep.Estimate(lo, hi)
-		}
+	if ep := e.acquire(); ep != nil {
+		defer ep.Release()
+		return ep.Estimate(lo, hi)
 	}
-	return e.union(false).Estimate(lo, hi)
+	return e.union(false, nil).Estimate(lo, hi)
 }
 
 // EstimateBounds returns the bracketing estimates for [lo, hi] over the
@@ -380,12 +424,11 @@ func (e *Engine) Estimate(lo, hi uint64) uint64 {
 // stream as of the current epoch's cut (including the unadmitted ledger
 // at that cut), answered lock-free.
 func (e *Engine) EstimateBounds(lo, hi uint64) (low, high uint64) {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Current(); ep != nil {
-			return ep.EstimateBounds(lo, hi)
-		}
+	if ep := e.acquire(); ep != nil {
+		defer ep.Release()
+		return ep.EstimateBounds(lo, hi)
 	}
-	return e.union(false).EstimateBounds(lo, hi)
+	return e.union(false, nil).EstimateBounds(lo, hi)
 }
 
 // HotRanges reports the ranges holding at least theta of the combined
@@ -393,12 +436,21 @@ func (e *Engine) EstimateBounds(lo, hi uint64) (low, high uint64) {
 // still found. Lock-free from the current epoch when read snapshots are
 // enabled.
 func (e *Engine) HotRanges(theta float64) []core.HotRange {
-	if p := e.pub.Load(); p != nil {
-		if ep := p.Current(); ep != nil {
-			return ep.HotRanges(theta)
-		}
+	if ep := e.acquire(); ep != nil {
+		defer ep.Release()
+		return ep.HotRanges(theta)
 	}
-	return e.union(false).HotRanges(theta)
+	return e.union(false, nil).HotRanges(theta)
+}
+
+// acquire pins the current epoch for one unpinned query, without taking a
+// lock or cutting; nil when read snapshots are disabled. The pin keeps the
+// epoch's tree from being recycled while the query walks it.
+func (e *Engine) acquire() *core.Epoch {
+	if p := e.pub.Load(); p != nil {
+		return p.Acquire()
+	}
+	return nil
 }
 
 // Merge folds a plain tree into one round-robin shard (see
@@ -409,13 +461,15 @@ func (e *Engine) Merge(other *core.Tree) error {
 	sh := e.pick()
 	sh.mu.Lock()
 	err := sh.tree.Merge(other)
-	if err == nil && sh.tap != nil {
-		sh.tap.TreeReplaced()
+	due := false
+	if err == nil {
+		if sh.tap != nil {
+			sh.tap.TreeReplaced()
+		}
+		due = e.credit(other.N())
 	}
 	sh.mu.Unlock()
-	if err == nil {
-		e.notePub(other.N())
-	}
+	e.publishIfDue(due)
 	return err
 }
 
@@ -547,7 +601,7 @@ func (e *Engine) MergedTreeCut(capture func(m *core.Tree)) *core.Tree {
 			e.shards[i].mu.Unlock()
 		}
 	}()
-	m := e.union(true)
+	m := e.union(true, nil)
 	if capture != nil {
 		capture(m)
 	}

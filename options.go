@@ -106,15 +106,16 @@ func WithSampling(k uint64) Option {
 }
 
 // WithReadSnapshots enables the epoch-published read path on the
-// concurrent and sharded engines: the writer periodically publishes an
-// immutable snapshot of the profile, and Estimate/EstimateBounds/
-// HotRanges answer from the latest epoch with zero lock acquisitions —
-// queries never contend with ingest. every is the offered-event cadence
-// between publishes (0 selects the default, 64Ki events). Answers lag the
-// live stream by at most one cadence; ReaderOf pins one epoch for
-// multi-query consistency. Only meaningful for WithConcurrent and
-// WithSharding — the single-goroutine and sampling engines have no
-// concurrent readers to decouple, so combining is rejected.
+// concurrent and sharded engines: the writer publishes an immutable
+// snapshot of the profile every `every` offered events (0 selects the
+// default, 64Ki events), and Estimate/EstimateBounds/HotRanges answer
+// from the latest epoch with zero lock acquisitions — those queries never
+// contend with ingest, and lag the live stream by at most one cadence.
+// ReaderOf pins one epoch cut as of its call, for answers that are both
+// current and consistent across several queries. Only meaningful for
+// WithConcurrent and WithSharding — the single-goroutine and sampling
+// engines have no concurrent readers to decouple, so combining is
+// rejected.
 func WithReadSnapshots(every uint64) Option {
 	return func(b *builder) {
 		b.readSnapshots = true

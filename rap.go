@@ -33,8 +33,8 @@
 // interfaces; Profiler is their (deprecated but fully supported) union.
 // With WithReadSnapshots the sharded engine (at any shard count) publishes
 // immutable epoch snapshots and serves Reader queries from them without
-// taking any locks; ReaderOf pins the current Epoch for multi-query
-// consistency.
+// taking any locks; ReaderOf pins an Epoch cut as of the call for
+// multi-query consistency.
 //
 // Advanced callers can keep constructing engines directly from a Config
 // literal — the types here are aliases of the internal ones, so the two
@@ -263,8 +263,9 @@ type Profiler interface {
 
 // Epoch is one immutable published snapshot of a profile: a consistent
 // cut served without locks. Obtain one from ReaderOf, Handle.Reader, or
-// Sharded.Reader; query it like any Reader; Release it when done. See
-// WithReadSnapshots.
+// Sharded.Reader; query it like any Reader; Release it when done. The
+// epoch and its Tree are valid until Release: a released epoch's storage
+// is reused by later cuts. See WithReadSnapshots.
 type Epoch = core.Epoch
 
 // EpochPublisher owns the epoch lifecycle of one engine (publish,
@@ -273,10 +274,13 @@ type Epoch = core.Epoch
 type EpochPublisher = core.EpochPublisher
 
 // ReaderOf returns a pinned consistent epoch for engines with a
-// consistent-cut read path (*Sharded: lock-free when WithReadSnapshots is
-// enabled, a one-off cut otherwise; *Tree: a detached clone). The caller
-// must Release the epoch. ok is false for engines without consistent cuts
-// (the sampling engine).
+// consistent-cut read path. On *Sharded it is a cut as of the call,
+// holding every event whose Add returned before it: with
+// WithReadSnapshots a published epoch, cut afresh when events arrived
+// since the current one (readers waiting on one cut share it), otherwise
+// a one-off merged cut. On *Tree it is a detached clone. The caller must
+// Release the epoch. ok is false for engines without consistent cuts (the
+// sampling engine).
 func ReaderOf(p Reader) (e *Epoch, ok bool) {
 	switch eng := p.(type) {
 	case *Sharded:
