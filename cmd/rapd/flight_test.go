@@ -574,6 +574,12 @@ func TestQueueSaturationAlertFollowsDropPolicy(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
+			// The frame that saw the queue full can come before the
+			// reader's next enqueue, so the shed count is read over a
+			// wait: newest must shed within it, block in none of it.
+			for wait := time.Now().Add(500 * time.Millisecond); in.Dropped() == 0 && time.Now().Before(wait); {
+				time.Sleep(time.Millisecond)
+			}
 			if dropped := in.Dropped(); (tc.drop == "newest") != (dropped > 0) {
 				t.Fatalf("-drop %s: %d events dropped", tc.drop, dropped)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"rap/internal/faults"
@@ -35,7 +36,7 @@ func drainBatches(t *testing.T, src trace.Source, lens []int) (events []trace.Ev
 	}
 }
 
-func encode(t *testing.T, events []trace.Event) []byte {
+func encode(t testing.TB, events []trace.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -146,6 +147,161 @@ func referenceDecode(data []byte) (events []trace.Event, failed bool) {
 	return events, false
 }
 
+// widthValues are the shortest and longest value of each varint width
+// from 1 to 10 bytes.
+func widthValues() []uint64 {
+	var vals []uint64
+	for n := 1; n <= binary.MaxVarintLen64; n++ {
+		lo := uint64(1) << (7 * (n - 1))
+		hi := lo<<7 - 1
+		if n == 1 {
+			lo = 0
+		}
+		if n == binary.MaxVarintLen64 {
+			hi = math.MaxUint64
+		}
+		vals = append(vals, lo, hi)
+	}
+	return vals
+}
+
+// padding returns whole events that encode to exactly p bytes: events of
+// one-byte varints, two bytes each, led by a three-byte event when p is
+// odd. No event is one byte long, so p must not be 1.
+func padding(p int) []trace.Event {
+	var pad []trace.Event
+	if p%2 == 1 {
+		pad = append(pad, trace.Event{Value: 200, Weight: 1})
+		p -= 3
+	}
+	for ; p > 0; p -= 2 {
+		pad = append(pad, trace.Event{Value: uint64(p), Weight: 1})
+	}
+	return pad
+}
+
+// windowOffsets are padding lengths that put the next event at each
+// offset 0–15 of a 16-byte window; offset 1 takes 17 bytes.
+var windowOffsets = []int{0, 17, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+// decodeBoth reads data through NextBatch in 256-event reads and through
+// Next, returning both event lists and both readers' errors.
+func decodeBoth(t *testing.T, data []byte) (batch, next []trace.Event, batchErr, nextErr error) {
+	t.Helper()
+	rb := trace.NewReader(bytes.NewReader(data))
+	batch, _ = drainBatches(t, rb, []int{256})
+	rn := trace.NewReader(bytes.NewReader(data))
+	next = trace.Collect(rn)
+	return batch, next, rb.Err(), rn.Err()
+}
+
+// TestDecodeEveryWidthAtEveryOffset places one event of every value width
+// (its shortest and longest value) and of weights 0, 1, 127, 128 and
+// 2^63 at each offset 0–15 of a 16-byte window, followed by 0–15 bytes
+// of events, so each decodes both in the word loop and a byte at a time
+// at the end of the buffer. NextBatch and Next must both decode the
+// stream exactly as referenceDecode does.
+func TestDecodeEveryWidthAtEveryOffset(t *testing.T) {
+	for _, v := range widthValues() {
+		for _, w := range []uint64{0, 1, 127, 128, 1 << 63} {
+			for _, lead := range windowOffsets {
+				for _, trail := range windowOffsets {
+					events := append(padding(lead), trace.Event{Value: v, Weight: w})
+					data := encode(t, append(events, padding(trail)...))
+					want, failed := referenceDecode(data)
+					if failed {
+						t.Fatalf("reference failed on a valid stream % x", data)
+					}
+					batch, next, batchErr, nextErr := decodeBoth(t, data)
+					if !slices.Equal(batch, want) || !slices.Equal(next, want) || batchErr != nil || nextErr != nil {
+						t.Fatalf("value %#x weight %#x, %d bytes before, %d after: NextBatch %v (err %v), Next %v (err %v), want %v",
+							v, w, lead, trail, batch, batchErr, next, nextErr, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeMalformedAtEveryOffset puts an 11-byte run of continuation
+// bytes, and a varint whose 10th byte is 2, as a value and as a weight at
+// each offset 0–15 of a 16-byte window, with nothing or 16 bytes of
+// events behind it, and ends streams 8 and 9 bytes into a 10-byte weight
+// after an 8-byte value, a weight too near the end for the word loop to
+// read. NextBatch and Next must decode the events before each and then
+// report the error text of the byte-at-a-time path, which a reader fed
+// one byte per read takes for every event.
+func TestDecodeMalformedAtEveryOffset(t *testing.T) {
+	run11 := bytes.Repeat([]byte{0x80}, 11)
+	tenth2 := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	value8 := binary.AppendUvarint(nil, 1<<56-1)
+	weight10 := binary.AppendUvarint(nil, 1<<63)
+	for _, tc := range []struct {
+		name   string
+		bad    []byte
+		trails []int
+	}{
+		{"value of 11 continuation bytes", run11, []int{0, 16}},
+		{"value with a 10th byte of 2", append(bytes.Clone(tenth2), 0x01), []int{0, 16}},
+		{"weight of 11 continuation bytes", append([]byte{0x05}, run11...), []int{0, 16}},
+		{"weight with a 10th byte of 2", append([]byte{0x05}, tenth2...), []int{0, 16}},
+		{"end 8 bytes into a 10-byte weight", append(bytes.Clone(value8), weight10[:8]...), []int{0}},
+		{"end 9 bytes into a 10-byte weight", append(bytes.Clone(value8), weight10[:9]...), []int{0}},
+	} {
+		for _, lead := range windowOffsets {
+			for _, trail := range tc.trails {
+				data := append(encode(t, padding(lead)), tc.bad...)
+				data = append(data, encode(t, padding(trail))[5:]...)
+				want, failed := referenceDecode(data)
+				ref := trace.NewReader(&faults.Reader{R: bytes.NewReader(data), MaxRead: 1})
+				if got := trace.Collect(ref); !failed || !slices.Equal(got, want) || ref.Err() == nil {
+					t.Fatalf("%s: byte-at-a-time reader decoded %v (err %v), the reference %v (failed %v)",
+						tc.name, got, ref.Err(), want, failed)
+				}
+				batch, next, batchErr, nextErr := decodeBoth(t, data)
+				for path, got := range map[string]struct {
+					events []trace.Event
+					err    error
+				}{"NextBatch": {batch, batchErr}, "Next": {next, nextErr}} {
+					if !slices.Equal(got.events, want) || got.err == nil || got.err.Error() != ref.Err().Error() {
+						t.Fatalf("%s, %d bytes before, %d after: %s decoded %v (err %v), want %v (err %v)",
+							tc.name, lead, trail, path, got.events, got.err, want, ref.Err())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeLoopCoverage reads 1M events of each stream shape from memory
+// through NextBatch in 256-event reads and counts the events decoded a
+// byte at a time, outside the word loop. Only the last bytes of each
+// 64 KiB refill and the event straddling it may leave the loop: at most
+// 0.1% of the events. A loop that left on a 9- or 10-byte value, handing
+// the rest of its batch to binary.Uvarint, decodes every event right
+// and fails only here.
+func TestDecodeLoopCoverage(t *testing.T) {
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			data := encodeSource(t, shape.src(shapeEvents), shapeEvents)
+			r := trace.NewReader(bytes.NewReader(data))
+			dst := make([]trace.Event, 256)
+			got := 0
+			for k := r.NextBatch(dst); k > 0; k = r.NextBatch(dst) {
+				got += k
+			}
+			if got != shapeEvents || r.Err() != nil {
+				t.Fatalf("decoded %d of %d events, err %v", got, shapeEvents, r.Err())
+			}
+			slow := trace.SlowEvents(r)
+			t.Logf("%d of %d events decoded a byte at a time", slow, got)
+			if slow > shapeEvents/1000 {
+				t.Fatalf("%d of %d events left the word loop, more than 0.1%%", slow, got)
+			}
+		})
+	}
+}
+
 // FuzzReaderNextBatch checks that batched decoding is exactly Next's: for
 // any bytes, read sizes and dst lengths, NextBatch yields the events Next
 // yields and ends with the same Err. Next itself is held to a reference
@@ -166,6 +322,17 @@ func FuzzReaderNextBatch(f *testing.F) {
 	f.Add(overflow, uint8(2), []byte{8})
 	f.Add([]byte("RAPS\x02"), uint8(0), []byte{4})
 	f.Add([]byte("junk"), uint8(1), []byte{})
+	// Long valid streams mixing every width, read whole (maxRead 0) so
+	// most of each decodes in the word loop: values of every width with
+	// weight 1, then every pairing of value and weight widths.
+	vals := widthValues()
+	var oneWeight, everyWeight []trace.Event
+	for i := range 40 * len(vals) {
+		oneWeight = append(oneWeight, trace.Event{Value: vals[i%len(vals)], Weight: 1})
+		everyWeight = append(everyWeight, trace.Event{Value: vals[i%len(vals)], Weight: vals[(i/len(vals)+i)%len(vals)]})
+	}
+	f.Add(encode(f, oneWeight), uint8(0), []byte{255})
+	f.Add(encode(f, everyWeight), uint8(0), []byte{255, 0, 17})
 	f.Fuzz(func(t *testing.T, data []byte, maxRead uint8, lens []byte) {
 		reader := func() *trace.Reader {
 			return trace.NewReader(&faults.Reader{R: bytes.NewReader(data), MaxRead: int(maxRead)})
@@ -207,39 +374,63 @@ func FuzzReaderNextBatch(f *testing.F) {
 	})
 }
 
-// BenchmarkReaderNextBatch times decoding the way rapd's pump reads: an
-// in-memory trace of gzip load values (seed 1) drained through NextBatch
-// in 256-event reads. It reports ns/event beside the root TreeAdd rows.
-func BenchmarkReaderNextBatch(b *testing.B) {
-	const n = 1 << 20
-	bench, err := workload.ByName("gzip")
+// shapes are the streams rapd's benchmark replays, 1M events of each:
+// gzip load values (replay-gzip), the same with every other event a
+// never-repeating 64-bit key (replay-flood, half its values 9 or 10
+// bytes long), and mcf load addresses (live-mix).
+var shapes = []struct {
+	name string
+	src  func(n uint64) trace.Source
+}{
+	{"gzip-values", func(n uint64) trace.Source { return benchmark("gzip").Values(1, n) }},
+	{"flood-mix", func(n uint64) trace.Source {
+		return workload.FloodMix(1, 0.5, benchmark("gzip").Values(1, n))
+	}},
+	{"mcf-addresses", func(n uint64) trace.Source {
+		loads := benchmark("mcf").Loads(1, n)
+		return trace.FuncSource(func() (uint64, bool) { return loads.Next().Addr, true })
+	}},
+}
+
+const shapeEvents = 1 << 20
+
+func benchmark(name string) workload.Benchmark {
+	b, err := workload.ByName(name)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	src := bench.Values(1, n)
-	for range n {
-		e, _ := src.Next()
-		if err := w.Write(e); err != nil {
-			b.Fatal(err)
-		}
+	return b
+}
+
+// encodeSource writes the first n events of src as a trace.
+func encodeSource(tb testing.TB, src trace.Source, n int) []byte {
+	events := make([]trace.Event, n)
+	for i := range events {
+		events[i], _ = src.Next()
 	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
+	return encode(tb, events)
+}
+
+// BenchmarkReaderNextBatch times decoding the way rapd's pump reads: an
+// in-memory trace of each stream shape drained through NextBatch in
+// 256-event reads. It reports ns/event beside the root TreeAdd rows.
+func BenchmarkReaderNextBatch(b *testing.B) {
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			data := encodeSource(b, shape.src(shapeEvents), shapeEvents)
+			dst := make([]trace.Event, 256)
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				r := trace.NewReader(bytes.NewReader(data))
+				got := 0
+				for k := r.NextBatch(dst); k > 0; k = r.NextBatch(dst) {
+					got += k
+				}
+				if got != shapeEvents || r.Err() != nil {
+					b.Fatalf("decoded %d of %d events, err %v", got, shapeEvents, r.Err())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/shapeEvents, "ns/event")
+		})
 	}
-	data := buf.Bytes()
-	dst := make([]trace.Event, 256)
-	b.SetBytes(int64(len(data)))
-	for b.Loop() {
-		r := trace.NewReader(bytes.NewReader(data))
-		got := 0
-		for k := r.NextBatch(dst); k > 0; k = r.NextBatch(dst) {
-			got += k
-		}
-		if got != n || r.Err() != nil {
-			b.Fatalf("decoded %d of %d events, err %v", got, n, r.Err())
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 }

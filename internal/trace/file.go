@@ -68,6 +68,7 @@ type Reader struct {
 	r      *bufio.Reader
 	opened bool
 	err    error
+	slow   uint64 // events decoded a byte at a time, outside the word loop
 }
 
 // readBufSize is the Reader's buffer: the default pipe capacity, so a
@@ -102,89 +103,125 @@ func (tr *Reader) open() error {
 	return nil
 }
 
-// Next implements Source. An event whose bytes are all buffered is
-// decoded in place; otherwise the slow path reads byte by byte, refilling
-// the buffer and reporting truncation and malformed varints.
+// Next implements Source: a NextBatch of one event.
 func (tr *Reader) Next() (Event, bool) {
+	var one [1]Event
+	ok := tr.NextBatch(one[:]) == 1
+	return one[0], ok
+}
+
+// NextBatch implements BatchSource. The whole events already buffered
+// decode in place. When none is, one event is read byte by byte,
+// refilling the buffer and reporting truncation and malformed varints,
+// and the whole events buffered behind it follow.
+func (tr *Reader) NextBatch(dst []Event) int {
 	if tr.err != nil {
-		return Event{}, false
+		return 0
 	}
 	if err := tr.open(); err != nil {
 		tr.err = err
-		return Event{}, false
+		return 0
 	}
-	var one [1]Event
-	if tr.decodeBuffered(one[:]) == 1 {
-		return one[0], true
+	if n := tr.decodeBuffered(dst); n > 0 {
+		return n
 	}
 	v, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
 			tr.err = fmt.Errorf("trace: reading value: %w", err)
 		}
-		return Event{}, false
+		return 0
 	}
 	w, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		tr.err = fmt.Errorf("trace: truncated event: %w", err)
-		return Event{}, false
-	}
-	return Event{Value: v, Weight: w}, true
-}
-
-// NextBatch implements BatchSource. The first event goes through Next,
-// which reads the header, refills the buffer and reports errors; the rest
-// are the whole events already buffered, decoded in place.
-func (tr *Reader) NextBatch(dst []Event) int {
-	e, ok := tr.Next()
-	if !ok {
 		return 0
 	}
-	dst[0] = e
+	tr.slow++
+	dst[0] = Event{Value: v, Weight: w}
 	return 1 + tr.decodeBuffered(dst[1:])
 }
 
 // decodeBuffered decodes up to len(dst) whole events from the bytes
-// already buffered and consumes them. An incomplete or malformed varint
-// ends it untouched, so the slow path in Next reads or reports it exactly
-// as it would have without the fast path.
+// already buffered and consumes them. While 16 bytes or more remain, it
+// decodes each event from word loads with no call per varint: a value of
+// 1–10 bytes from one 8-byte load and at most two byte loads, and a
+// weight from one byte load, or by the value's steps when it is longer
+// than a byte. The last bytes, a long weight too near their end for a
+// word, and malformed input fall to binary.Uvarint, a byte at a time. An
+// incomplete or malformed varint stops it untouched, so the byte-at-a-time
+// read in NextBatch reads or reports it exactly as it would have without
+// the word loop.
 func (tr *Reader) decodeBuffered(dst []Event) int {
 	// Peek and Discard stay within the buffered bytes, so neither fails.
 	buf, _ := tr.r.Peek(tr.r.Buffered())
 	n, off := 0, 0
-	for n < len(dst) {
-		v, k := uvarint(buf[off:])
+	for ; n < len(dst) && len(buf)-off >= 16; n++ {
+		v, k := uvarintWord(binary.LittleEndian.Uint64(buf[off:]))
+		if k > 8 {
+			if v, k = uvarintLong(v, buf[off+8], buf[off+9]); k == 0 {
+				break
+			}
+		}
+		p := off + k
+		w, kw := uint64(buf[p]), 1
+		if w >= 0x80 {
+			if len(buf)-p < 10 {
+				break
+			}
+			if w, kw = uvarintWord(binary.LittleEndian.Uint64(buf[p:])); kw > 8 {
+				if w, kw = uvarintLong(w, buf[p+8], buf[p+9]); kw == 0 {
+					break
+				}
+			}
+		}
+		dst[n] = Event{Value: v, Weight: w}
+		off = p + kw
+	}
+	for ; n < len(dst); n++ {
+		v, k := binary.Uvarint(buf[off:])
 		if k <= 0 {
 			break
 		}
-		w, kw := uvarint(buf[off+k:])
+		w, kw := binary.Uvarint(buf[off+k:])
 		if kw <= 0 {
 			break
 		}
 		dst[n] = Event{Value: v, Weight: w}
-		n++
 		off += k + kw
+		tr.slow++
 	}
 	_, _ = tr.r.Discard(off)
 	return n
 }
 
-// uvarint is binary.Uvarint a word at a time. With 8 bytes at hand it
-// loads them as one little-endian word and finds the terminating byte
-// (the first whose continuation bit is clear) from the trailing zeros of
-// the inverted continuation bits; the bytes past it are masked off before
-// packing. A 9- or 10-byte varint, a window too short for the word, and
-// malformed input take binary.Uvarint, which returns what it always has
-// for them.
-func uvarint(b []byte) (uint64, int) {
-	if len(b) >= 8 {
-		x := binary.LittleEndian.Uint64(b)
-		if stop := ^x & 0x8080808080808080; stop != 0 {
-			end := bits.TrailingZeros64(stop) // bit 7 of the last byte
-			return pack7(x & (^uint64(0) >> (63 - end))), end/8 + 1
-		}
+// uvarintWord decodes the varint that starts the little-endian word x.
+// It finds the terminating byte (the first whose continuation bit is
+// clear) from the trailing zeros of the inverted continuation bits and
+// masks off the bytes past it before packing, returning the value and
+// its length. When all eight bytes continue it returns their 56 bits and
+// length 9, which uvarintLong completes.
+func uvarintWord(x uint64) (uint64, int) {
+	stop := ^x & 0x8080808080808080
+	k := 9
+	if stop != 0 {
+		k = bits.TrailingZeros64(stop)/8 + 1
 	}
-	return binary.Uvarint(b)
+	return pack7(x & (stop ^ (stop - 1))), k
+}
+
+// uvarintLong completes a varint whose first eight bytes packed to v,
+// given its 9th and 10th bytes: the value and a length of 9 or 10, or
+// length 0 where binary.Uvarint reports an overflow (a 10th byte above
+// 1, or one that continues).
+func uvarintLong(v uint64, b8, b9 byte) (uint64, int) {
+	if b8 < 0x80 {
+		return v | uint64(b8)<<56, 9
+	}
+	if b9 > 1 {
+		return 0, 0
+	}
+	return v | uint64(b8&0x7f)<<56 | uint64(b9)<<63, 10
 }
 
 // pack7 joins the 7-bit groups of x's eight bytes, low byte first, into

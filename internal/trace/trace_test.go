@@ -222,12 +222,14 @@ func TestReaderTruncationMidEventIsError(t *testing.T) {
 	}
 }
 
-// FuzzUvarint holds the word-at-a-time decoder to binary.Uvarint on
-// every window of up to 12 bytes of the input, so each varint is decoded
-// both with 8 or more bytes at hand and from every shorter window. The
-// corpus has the shortest and longest varint of each length from 1 to 10
-// bytes, alone and padded, a 10th byte that overflows, and an 11-byte
-// run of continuation bytes.
+// FuzzUvarint holds the word-at-a-time varint steps to binary.Uvarint at
+// every position of the input, followed first by zero bytes and then by
+// 0xff bytes, as decodeBuffered sees a varint with more bytes buffered
+// behind it: what the steps decode must be what binary.Uvarint decodes,
+// and they may reject only what binary.Uvarint rejects. The corpus has
+// the shortest and longest varint of each length from 1 to 10 bytes,
+// alone and padded, a 10th byte that overflows, and an 11-byte run of
+// continuation bytes.
 func FuzzUvarint(f *testing.F) {
 	pad := bytes.Repeat([]byte{0x81}, 9)
 	for n := 1; n <= binary.MaxVarintLen64; n++ {
@@ -248,17 +250,28 @@ func FuzzUvarint(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x02, 0x00))
 	f.Add(bytes.Repeat([]byte{0x80}, 11))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for i := range data {
-			for j := i; j <= min(len(data), i+12); j++ {
-				win := data[i:j]
+		for _, fill := range []byte{0x00, 0xff} {
+			padded := append(bytes.Clone(data), bytes.Repeat([]byte{fill}, binary.MaxVarintLen64)...)
+			for i := range data {
+				win := padded[i:]
 				v, k := uvarint(win)
 				wv, wk := binary.Uvarint(win)
-				if v != wv || k != wk {
-					t.Fatalf("uvarint(% x) = (%d, %d), binary.Uvarint = (%d, %d)", win, v, k, wv, wk)
+				if k > 0 && (v != wv || k != wk) || k == 0 && wk > 0 {
+					t.Fatalf("word steps on % x = (%d, %d), binary.Uvarint = (%d, %d)", win, v, k, wv, wk)
 				}
 			}
 		}
 	})
+}
+
+// uvarint decodes the varint at the start of b, which holds at least 10
+// bytes, in decodeBuffered's steps: length 0 for an overflow.
+func uvarint(b []byte) (uint64, int) {
+	v, k := uvarintWord(binary.LittleEndian.Uint64(b))
+	if k > 8 {
+		v, k = uvarintLong(v, b[8], b[9])
+	}
+	return v, k
 }
 
 func TestTextRoundTrip(t *testing.T) {
