@@ -1,3 +1,9 @@
+// rapbench and every experiment it runs start no goroutine, so the race
+// detector has nothing to find here and only slows them tenfold; CI runs
+// them without -race.
+
+//go:build !race
+
 package main
 
 import (

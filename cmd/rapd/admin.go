@@ -292,8 +292,9 @@ func (a *admin) facts() []flight.Fact {
 		{Key: "nodes", Value: fmt.Sprintf("%d", st.Nodes)},
 		{Key: "dropped", Value: fmt.Sprintf("%d", st.Dropped)},
 	}
-	// Enabling read snapshots publishes the first epoch, so the publish
-	// time is never zero here.
+	// The engine cuts its first epoch when it is built, so the publish
+	// time is never zero here. The age is the time since the latest cut,
+	// which readers make on demand: it grows while no reader asks.
 	pub := a.in.Engine().Publisher()
 	out = append(out,
 		flight.Fact{Key: "epoch seq", Value: fmt.Sprintf("%d", pub.Seq())},

@@ -16,8 +16,8 @@
 // (Prometheus text) and /metrics.json, /healthz and /readyz (structured
 // checks keyed on source liveness and checkpoint freshness), the
 // versioned query API /v1/estimate, /v1/hotranges, and /v1/stats
-// (answers served lock-free from the latest published epoch, with
-// staleness headers and 429s while admission is at Siege), /spans
+// (each request answered from one epoch cut as of its arrival, with
+// epoch headers and 429s while admission is at Siege), /spans
 // (recorded spans and structural events — tree.split, tree.merge,
 // audit.violation, admit.level — as JSONL; /v1 requests honor an inbound
 // W3C traceparent header and stamp one on the response), /profilez
@@ -30,8 +30,8 @@
 // flight recorder scrapes the registry every -flight-every into a
 // bounded in-memory ring of -flight-depth delta-compressed frames.
 // Request tracing samples 1 in -span-sample traces end to end through
-// enqueue, queue wait, shard apply, merge batches, epoch publish, and
-// checkpoint cut/write, and 1 in -span-sample split/merge decisions;
+// enqueue, queue wait, shard apply, merge batches, and checkpoint
+// cut/write, and 1 in -span-sample split/merge decisions;
 // spans slower than -slow-op are always recorded, as are audit verdicts
 // and admission level changes, and while any alert fires every span is
 // recorded.
@@ -265,9 +265,9 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 	cfg.Epsilon = c.epsilon
 	cfg.UniverseBits = c.universe
 	cfg.Branch = c.branch
-	// Queries always answer from published epochs. Each /v1 request pins
-	// one cut as of its arrival (Engine.Reader), which copies each shard
-	// under that shard's lock alone, never by holding every shard at once.
+	// Queries always answer from epochs. Each /v1 request pins one cut as
+	// of its arrival (Engine.Reader), which copies each shard under that
+	// shard's lock alone, never by holding every shard at once.
 	opts := ingest.Options{
 		Tree:            cfg,
 		Shards:          c.shards,
@@ -277,7 +277,6 @@ func (c cliConfig) options(logger *slog.Logger) (ingest.Options, error) {
 		MaxRetries:      c.maxRetries,
 		CheckpointDir:   c.checkpointDir,
 		CheckpointEvery: c.checkpointEvery,
-		ReadSnapshots:   true,
 		Logger:          logger,
 	}
 	switch c.drop {

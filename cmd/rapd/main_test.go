@@ -60,17 +60,14 @@ func TestOptionsRejectsBadDropPolicy(t *testing.T) {
 	}
 }
 
-// TestOptionsReadFromEpochs: a config that sets nothing about read
-// snapshots still runs the epoch read path, so /v1 answers from a
-// published epoch instead of locking every shard to merge a cut.
+// TestOptionsReadFromEpochs: the ingestor a default config opens serves
+// /v1 from epochs, so a request pins a cut instead of locking every shard
+// to merge one; the engine has cut its initial epoch before any event.
 func TestOptionsReadFromEpochs(t *testing.T) {
 	c := cliConfig{stdin: true, shards: 2, drop: "block", epsilon: 0.05, universe: 20, branch: 4}
 	opts, err := c.options(discardLogger())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !opts.ReadSnapshots {
-		t.Fatal("options leave ReadSnapshots off")
 	}
 	specs, err := c.specs(strings.NewReader(""))
 	if err != nil {
@@ -80,8 +77,8 @@ func TestOptionsReadFromEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Engine().Publisher() == nil {
-		t.Fatal("ingestor's engine has no epoch publisher")
+	if got := in.Engine().Publisher().Published(); got != 1 {
+		t.Fatalf("ingestor's engine published %d epochs before any event, want the initial one", got)
 	}
 }
 

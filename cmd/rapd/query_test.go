@@ -277,10 +277,9 @@ func requireCompact(t *testing.T, path, body string, hdr http.Header, fields ...
 }
 
 // TestV1AnswersAsOfRequest feeds K events through a pipe to an ingestor
-// serving /v1, as rapd -stdin does, with K below the publish cadence and
-// the run far shorter than the 1 s republish ticker. Once the source
-// ledger shows all K applied, the next /v1/stats must describe all K: a
-// pinned /v1 answer is cut as of its request.
+// serving /v1, as rapd -stdin does. Ingest itself never cuts an epoch.
+// Once the source ledger shows all K applied, the next /v1/stats must
+// describe all K: a pinned /v1 answer is cut as of its request.
 func TestV1AnswersAsOfRequest(t *testing.T) {
 	const k = 50_000
 	c := parseFlags([]string{"-stdin"}, io.Discard)

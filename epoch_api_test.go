@@ -2,7 +2,6 @@ package rap_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"rap"
@@ -63,9 +62,8 @@ func TestReaderOfAllEngines(t *testing.T) {
 		ok   bool
 	}{
 		{"tree", nil, true},
-		{"concurrent", []rap.Option{rap.WithConcurrent(), rap.WithReadSnapshots(1024)}, true},
-		{"concurrent-no-snapshots", []rap.Option{rap.WithConcurrent()}, true},
-		{"sharded", []rap.Option{rap.WithSharding(4), rap.WithReadSnapshots(1024)}, true},
+		{"concurrent", []rap.Option{rap.WithConcurrent()}, true},
+		{"sharded", []rap.Option{rap.WithSharding(4)}, true},
 		{"sampled", []rap.Option{rap.WithSampling(8)}, false},
 	}
 	for _, c := range cases {
@@ -83,11 +81,10 @@ func TestReaderOfAllEngines(t *testing.T) {
 				return
 			}
 			defer e.Release()
-			// Published epochs may trail the live head by up to the
-			// snapshot cadence; detached cuts are exact.
+			// Every epoch is cut as of the call.
 			n0 := e.N()
-			if n0 > 20_000 || n0 < 20_000-2048 {
-				t.Fatalf("epoch N = %d, want within one cadence of 20000", n0)
+			if n0 != 20_000 {
+				t.Fatalf("epoch N = %d, want 20000", n0)
 			}
 			lo, hi := e.EstimateBounds(0, 1<<20-1)
 			if lo > hi || hi != n0 {
@@ -99,43 +96,5 @@ func TestReaderOfAllEngines(t *testing.T) {
 				t.Fatalf("epoch N moved to %d after a later write", e.N())
 			}
 		})
-	}
-}
-
-// TestWithReadSnapshotsEngineSelection: the option needs an engine with
-// a decoupled read path and must reject the ones without.
-func TestWithReadSnapshotsEngineSelection(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		opts []rap.Option
-	}{
-		{"plain", []rap.Option{rap.WithReadSnapshots(0)}},
-		{"sampled", []rap.Option{rap.WithSampling(8), rap.WithReadSnapshots(0)}},
-	} {
-		if _, err := rap.New(c.opts...); err == nil {
-			t.Errorf("%s: WithReadSnapshots accepted on an engine with no concurrent read path", c.name)
-		} else if !strings.Contains(err.Error(), "read path") {
-			t.Errorf("%s: unhelpful error %q", c.name, err)
-		}
-	}
-	for _, c := range []struct {
-		name string
-		opts []rap.Option
-	}{
-		{"concurrent", []rap.Option{rap.WithConcurrent(), rap.WithReadSnapshots(0)}},
-		{"sharded", []rap.Option{rap.WithSharding(2), rap.WithReadSnapshots(0)}},
-	} {
-		p, err := rap.New(c.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		e, ok := rap.ReaderOf(p.(rap.Reader))
-		if !ok || e == nil {
-			t.Fatalf("%s: no epoch from engine built with WithReadSnapshots", c.name)
-		}
-		if e.Seq() == 0 {
-			t.Fatalf("%s: epoch seq 0 — engine served a detached fallback, snapshots not enabled", c.name)
-		}
-		e.Release()
 	}
 }

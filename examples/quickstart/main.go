@@ -21,15 +21,14 @@ import (
 func main() {
 	// A concurrent profiler with the paper's defaults: 64-bit universe,
 	// branching factor 4, eps = 1% error bound, batched merges doubling
-	// in period. WithReadSnapshots decouples queries from ingest: the
-	// writer publishes immutable epochs and readers pin them without
-	// taking any lock.
+	// in period. Queries are decoupled from ingest: each read cuts an
+	// immutable epoch as of its call and answers from it without holding
+	// any lock.
 	p, err := rap.New(
 		rap.WithUniverse(0), // full 64-bit universe
 		rap.WithEpsilon(0.01),
 		rap.WithBranching(4),
 		rap.WithConcurrent(),
-		rap.WithReadSnapshots(0), // 0 = default publish cadence
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -256,14 +256,13 @@ func TestConcurrentTreeHooksSurviveRestore(t *testing.T) {
 	}
 }
 
-// TestConcurrentTreeEpochHammer publishes at an aggressive cadence while
-// queriers hold pinned epochs across sub-queries; run under -race this
-// exercises the pin/retire protocol end to end.
+// TestConcurrentTreeEpochHammer has queriers cut epochs as writers feed
+// and hold them pinned across sub-queries; run under -race this exercises
+// the cut and the pin/retire protocol end to end.
 func TestConcurrentTreeEpochHammer(t *testing.T) {
 	cfg := core.TestConfig(20, 2, 0.05)
 	cfg.FirstMerge = 64 // merge batches churn the arena between publishes
 	c := concurrent(t, cfg)
-	c.EnableReadSnapshots(256)
 
 	const writers = 4
 	const each = 30_000
@@ -286,10 +285,6 @@ func TestConcurrentTreeEpochHammer(t *testing.T) {
 			var lastSeq uint64
 			for !stop.Load() {
 				e := c.Reader()
-				if e == nil {
-					t.Error("Reader returned nil with snapshots enabled")
-					return
-				}
 				if s := e.Seq(); s < lastSeq {
 					t.Errorf("epoch seq went backwards: %d after %d", s, lastSeq)
 					e.Release()
@@ -328,14 +323,14 @@ func TestConcurrentTreeEpochHammer(t *testing.T) {
 }
 
 // TestConcurrentTreeQueryPathLockFree proves queries never touch the
-// shard lock once snapshots are on: the test holds the lock and the
-// query must still answer.
+// shard lock while nothing is pending since the last cut: the test holds
+// the lock and every query must still answer.
 func TestConcurrentTreeQueryPathLockFree(t *testing.T) {
 	c := concurrent(t, core.TestConfig(16, 2, 0.05))
 	for i := uint64(0); i < 10_000; i++ {
 		c.Add(i % 1000)
 	}
-	c.EnableReadSnapshots(1 << 16)
+	c.PublishNow()
 
 	c.WithShard(0, func(*core.Tree) {
 		done := make(chan struct{})
@@ -358,13 +353,15 @@ func TestConcurrentTreeQueryPathLockFree(t *testing.T) {
 
 // TestQueryPathMutexProfile runs the contended write+query mix with
 // mutex profiling at full fraction and asserts no recorded contention
-// stack passes through the epoch query path.
+// stack passes through the epoch query path. Each query batch cuts one
+// epoch through Reader, which contends with the writers for the shard
+// lock, and then queries it: the queries on the pinned epoch and its
+// release must take no lock.
 func TestQueryPathMutexProfile(t *testing.T) {
 	old := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(old)
 
 	c := concurrent(t, core.TestConfig(20, 2, 0.05))
-	c.EnableReadSnapshots(512)
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	for w := 0; w < 4; w++ {
@@ -382,8 +379,11 @@ func TestQueryPathMutexProfile(t *testing.T) {
 		go func() {
 			defer qwg.Done()
 			for !stop.Load() {
-				c.Estimate(0, 1<<19)
-				c.HotRanges(0.05)
+				e := c.Reader()
+				e.Estimate(0, 1<<19)
+				e.EstimateBounds(0, 1<<19)
+				e.HotRanges(0.05)
+				e.Release()
 			}
 		}()
 	}
@@ -431,7 +431,6 @@ func TestConcurrentTreeRestoreRepublishes(t *testing.T) {
 	}
 
 	c2 := concurrent(t, cfg)
-	c2.EnableReadSnapshots(1 << 16)
 	if err := c2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +453,6 @@ func TestCounterPromotionEpochHammer(t *testing.T) {
 	cfg := core.TestConfig(20, 4, 0.05)
 	cfg.FirstMerge = 64 // merge batches rebuild the spill slab between publishes
 	c := concurrent(t, cfg)
-	c.EnableReadSnapshots(128)
 
 	const writers = 4
 	const each = 8_000
@@ -493,10 +491,6 @@ func TestCounterPromotionEpochHammer(t *testing.T) {
 			defer qwg.Done()
 			for !stop.Load() {
 				e := c.Reader()
-				if e == nil {
-					t.Error("Reader returned nil with snapshots enabled")
-					return
-				}
 				n := e.N()
 				full := e.Estimate(0, 1<<20-1)
 				if full != n {
@@ -530,7 +524,6 @@ func TestCounterPromotionEpochHammer(t *testing.T) {
 	if !spilled {
 		t.Fatal("hammer spilled no counters; weights are mistuned")
 	}
-	c.PublishNow() // the cadence counts samples, not weight: catch up
 	if full := c.Estimate(0, 1<<20-1); full != c.N() {
 		t.Fatalf("writer leaks mass after hammer: %d != %d", full, c.N())
 	}

@@ -5,31 +5,17 @@ import (
 	"time"
 )
 
-// DefaultPublishEvery is the default publish cadence for epoch read
-// snapshots: a fresh epoch is cut after this much offered event weight.
-// It keeps the lock-free unpinned queries (the sharded engine's Estimate,
-// EstimateBounds and HotRanges) and the epoch gauges within 64Ki events
-// of the stream; a pinned reader cuts its own epoch and lags by nothing.
-// A publish copies every shard holding mass and merges the later copies
-// into the first, so with one populated shard it is one slab copy, into
-// the tree of a retired epoch once one has been donated (see
-// EpochPublisher.Spare); each further populated shard adds a clone and a
-// merge.
-const DefaultPublishEvery = 1 << 16
-
 // Epoch is one immutable published snapshot of a profile: a read-only
 // clone of the tree cut at a known point in the stream, served without
 // any locks. Epochs are produced by an EpochPublisher (see the sharded
-// engine's EnableReadSnapshots); queries on an Epoch touch only the
-// frozen clone, so they never contend with ingest.
+// engine's Reader, which cuts one as of its call); queries on an Epoch
+// touch only the frozen clone, so they never contend with ingest.
 //
 // Epochs obtained from EpochPublisher.Acquire are pinned and must be
 // released with Release exactly once; the epoch, its Tree included, is
 // valid until then. The pin guards the tree's storage, not only the
 // accounting: once a superseded epoch has no pins its tree may be
-// donated to the publisher and overwritten by a later cut. An epoch
-// observed via Current is marked shared and is never donated, so it
-// stays valid for as long as the caller holds it.
+// donated to the publisher and overwritten by a later cut.
 type Epoch struct {
 	tree        *Tree
 	seq         uint64
@@ -38,14 +24,13 @@ type Epoch struct {
 	pins        atomic.Int64
 	superseded  atomic.Bool
 	retiredMark atomic.Bool
-	shared      atomic.Bool     // handed out unpinned by Current: never donated
 	pub         *EpochPublisher // nil for detached epochs
 }
 
-// NewDetachedEpoch wraps a standalone tree (typically a fresh cut or
-// clone) as an epoch outside any publisher: sequence 0, Release is a no-op.
-// Facade Reader() falls back to this when read snapshots are disabled,
-// so callers get one consistent-cut API either way.
+// NewDetachedEpoch wraps a standalone tree (typically a clone) as an epoch
+// outside any publisher: sequence 0, Release is a no-op. The facade's
+// ReaderOf serves a plain tree through it, so callers get one
+// consistent-cut API on every engine.
 func NewDetachedEpoch(t *Tree) *Epoch {
 	return &Epoch{tree: t, cutN: t.N(), publishedAt: time.Now().UnixNano()}
 }
@@ -101,28 +86,23 @@ func (e *Epoch) Release() {
 
 // maybeRetire marks the epoch retired once it is superseded and has no
 // pinned readers, and donates its tree to the publisher as the spare the
-// next cut copies into, unless Current handed the epoch out. The CAS
-// makes retirement count, and donate, exactly once even when the
-// publisher and the last reader race here.
+// next cut copies into. The CAS makes retirement count, and donate,
+// exactly once even when the publisher and the last reader race here.
 func (e *Epoch) maybeRetire() {
 	if e.superseded.Load() && e.pins.Load() == 0 &&
 		e.retiredMark.CompareAndSwap(false, true) {
 		if e.pub != nil {
 			e.pub.retired.Add(1)
-			if !e.shared.Load() {
-				e.pub.spare.Store(e.tree)
-			}
+			e.pub.spare.Store(e.tree)
 		}
 	}
 }
 
 // EpochPublisher owns the single-writer/many-reader epoch lifecycle: the
 // writer publishes immutable clones with an atomic pointer swap; readers
-// either peek at the current epoch (Current, no pin) or pin one for
-// multi-query consistency (Acquire/Release). Superseded epochs are
-// retired once their reader count drains, and the tree of a retired
-// epoch nobody was handed unpinned becomes the spare the next cut is
-// copied into.
+// pin the current one (Acquire/Release). Superseded epochs are retired
+// once their reader count drains, and the tree of a retired epoch becomes
+// the spare the next cut is copied into.
 //
 // Publish must be externally serialized (the sharded engine calls it
 // under its publish mutex); everything else is safe from any goroutine.
@@ -135,7 +115,7 @@ type EpochPublisher struct {
 	lastPub atomic.Int64 // unix nanoseconds of the last publish
 }
 
-// NewEpochPublisher returns an empty publisher; Current returns nil
+// NewEpochPublisher returns an empty publisher; Acquire returns nil
 // until the first Publish.
 func NewEpochPublisher() *EpochPublisher { return new(EpochPublisher) }
 
@@ -160,22 +140,6 @@ func (p *EpochPublisher) Publish(t *Tree) *Epoch {
 	if old != nil {
 		old.superseded.Store(true)
 		old.maybeRetire()
-	}
-	return e
-}
-
-// Current returns the latest published epoch without pinning it, or nil
-// before the first publish. The epoch is marked shared while pinned, so
-// its tree is never donated to a later cut: it stays valid for as long as
-// the caller holds it, however many epochs follow. A reader that wants
-// the stream as of its call, or a stable view across several queries
-// that it gives back, should use Acquire (or the engine's Reader)
-// instead.
-func (p *EpochPublisher) Current() *Epoch {
-	e := p.Acquire()
-	if e != nil {
-		e.shared.Store(true)
-		e.Release()
 	}
 	return e
 }

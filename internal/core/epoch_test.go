@@ -12,9 +12,6 @@ func epochTestTree(points ...uint64) *Tree {
 
 func TestEpochPublisherLifecycle(t *testing.T) {
 	p := NewEpochPublisher()
-	if p.Current() != nil {
-		t.Fatal("fresh publisher has a current epoch")
-	}
 	if p.Acquire() != nil {
 		t.Fatal("Acquire on empty publisher returned an epoch")
 	}
@@ -84,8 +81,9 @@ func TestDetachedEpoch(t *testing.T) {
 }
 
 // TestEpochDonatesTreeOnlyWhenUnreachable: a retired epoch's tree becomes
-// the publisher's spare only once it is superseded and unpinned, and
-// never when Current handed the epoch out.
+// the publisher's spare only once it is superseded and unpinned. A pin
+// released before the next publish, as a metrics gauge takes one, does not
+// keep the tree from the next cut.
 func TestEpochDonatesTreeOnlyWhenUnreachable(t *testing.T) {
 	p := NewEpochPublisher()
 	t1, t2, t3, t4 := epochTestTree(1), epochTestTree(2), epochTestTree(3), epochTestTree(4)
@@ -112,18 +110,19 @@ func TestEpochDonatesTreeOnlyWhenUnreachable(t *testing.T) {
 		t.Fatalf("spare %p after the last pin of epoch 2 drained, want %p", got, t2)
 	}
 
-	e3 := p.Current()
-	if p.Pinned() != 0 {
-		t.Fatalf("Current left %d pins", p.Pinned())
+	e3 := p.Acquire()
+	if e3.Tree() != t3 || e3.CutN() != 1 {
+		t.Fatal("epoch 3 pinned the wrong tree")
 	}
-	p.Publish(t4) // epoch 3: superseded and unpinned, but handed out by Current
+	e3.Release()
+	if p.Pinned() != 0 || p.Spare() != nil {
+		t.Fatalf("releasing the current epoch left %d pins or donated its tree", p.Pinned())
+	}
+	p.Publish(t4) // epoch 3: superseded, its pin already released
 	if p.Retired() != 3 {
 		t.Fatalf("retired = %d, want 3", p.Retired())
 	}
-	if p.Spare() != nil {
-		t.Fatal("an epoch handed out by Current donated its tree")
-	}
-	if e3.Tree() != t3 || e3.Tree().N() != 1 {
-		t.Fatal("epoch from Current lost its tree")
+	if got := p.Spare(); got != t3 {
+		t.Fatalf("spare %p after epoch 3 retired, want its tree %p", got, t3)
 	}
 }

@@ -86,7 +86,7 @@ func TestEventsNeedMetrics(t *testing.T) {
 	runToCompletion(t, opts, []SourceSpec{sliceSpec("a", floodVals(40_000, 3))})
 	for _, r := range tr.Spans() {
 		switch r.Name {
-		case "ingest.batch", "queue_wait", "apply", "merge_batch", "epoch_publish":
+		case "ingest.batch", "queue_wait", "apply", "merge_batch":
 		default:
 			t.Fatalf("span %q recorded without Metrics", r.Name)
 		}

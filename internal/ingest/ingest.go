@@ -161,23 +161,18 @@ type Options struct {
 	// de-escalate even when the gates see no traffic.
 	AdmissionObserveEvery time.Duration
 
-	// ReadSnapshots enables the epoch-published read path on the engine:
-	// a pinned reader (Engine.Reader, the rapd /v1 API) cuts an immutable
-	// merged snapshot as of its call, and Estimate/EstimateBounds/
-	// HotRanges answer from the current epoch with zero lock acquisitions,
-	// so queries never contend with ingest. The apply workers also publish
-	// every core.DefaultPublishEvery offered events, and on slow or idle
-	// streams Run publishes once a second (snapshotMaxStale) whenever
-	// events arrived since the last publish; those epochs serve the
-	// unpinned queries and the rap_epoch_* gauges.
+	// ReadSnapshots does nothing: every engine query reads an epoch cut
+	// as of its call (shard.Engine.Reader).
+	//
+	// Deprecated: the epoch read path is always on.
 	ReadSnapshots bool
 
 	// Tracer, when set, threads request-scoped spans through the pipeline:
 	// each enqueued batch becomes a trace whose children cover the
-	// queue-wait and shard-apply stages (with merge-batch and
-	// epoch-publish children attached when the apply triggered them), and
-	// each checkpoint becomes a trace with cut and write children. The
-	// tracer's sampling policy decides what is kept. A queue entry carries
+	// queue-wait and shard-apply stages (with a merge-batch child attached
+	// when the apply ran merge batches), and each checkpoint becomes a
+	// trace with cut and write children. The tracer's sampling policy
+	// decides what is kept. A queue entry carries
 	// only its head-sampling decision; its spans are built when its apply
 	// ends, and only when the trace is sampled, recording is forced, or
 	// the batch reached the slow-op threshold, so an unsampled entry
@@ -186,9 +181,6 @@ type Options struct {
 	// admission level changes are recorded on it as zero-duration events.
 	Tracer *span.Tracer
 }
-
-// snapshotMaxStale bounds wall-clock epoch staleness with ReadSnapshots.
-const snapshotMaxStale = time.Second
 
 func (o Options) withDefaults() Options {
 	if o.Tree == (core.Config{}) {
@@ -433,12 +425,6 @@ func Open(opts Options, specs []SourceSpec) (*Ingestor, error) {
 			}
 		}
 	}
-	// Enable the epoch read path after restore so the initial epoch
-	// already carries any recovered state (and before metrics register,
-	// so the rap_epoch_* gauges find a live publisher).
-	if opts.ReadSnapshots {
-		engine.EnableReadSnapshots(0)
-	}
 	// Structural events ride on the tracer only beside the metrics plane,
 	// the same condition under which the tree hooks are installed.
 	var events *span.Tracer
@@ -596,31 +582,26 @@ func (in *Ingestor) registerMetrics() {
 			}
 			return time.Since(time.Unix(0, last)).Seconds()
 		})
-	if pub := in.engine.Publisher(); pub != nil {
-		reg.GaugeFunc("rap_epoch_seq", "Sequence number of the current published read epoch.",
-			func() float64 { return float64(pub.Seq()) })
-		reg.GaugeFunc("rap_epoch_cut_events", "Admitted event weight at the current epoch's cut.",
-			func() float64 {
-				if e := pub.Current(); e != nil {
-					return float64(e.CutN())
-				}
-				return 0
-			})
-		reg.GaugeFunc("rap_epoch_age_seconds", "Seconds since the current epoch was published — the wall-clock staleness of lock-free query answers.",
-			func() float64 {
-				at := pub.LastPublishedAt()
-				if at.IsZero() {
-					return -1
-				}
-				return time.Since(at).Seconds()
-			})
-		reg.GaugeFunc("rap_epoch_pinned_readers", "Readers currently holding a pinned epoch (Reader handles not yet released).",
-			func() float64 { return float64(pub.Pinned()) })
-		reg.CounterFunc("rap_epoch_published_total", "Epochs published since start.",
-			func() float64 { return float64(pub.Published()) })
-		reg.CounterFunc("rap_epoch_retired_total", "Superseded epochs whose reader count drained.",
-			func() float64 { return float64(pub.Retired()) })
-	}
+	// The epoch gauges describe the latest cut, which readers make on
+	// demand. They pin the current epoch rather than cut one, so a scrape
+	// neither moves them nor keeps the epoch's tree from a later cut.
+	pub := in.engine.Publisher()
+	reg.GaugeFunc("rap_epoch_seq", "Sequence number of the latest read epoch.",
+		func() float64 { return float64(pub.Seq()) })
+	reg.GaugeFunc("rap_epoch_cut_events", "Admitted event weight at the current epoch's cut.",
+		func() float64 {
+			e := pub.Acquire()
+			defer e.Release()
+			return float64(e.CutN())
+		})
+	reg.GaugeFunc("rap_epoch_age_seconds", "Seconds since the last epoch was cut. A reader cuts only when events arrived since then, so this grows while no reader asks or nothing arrives.",
+		func() float64 { return time.Since(pub.LastPublishedAt()).Seconds() })
+	reg.GaugeFunc("rap_epoch_pinned_readers", "Readers currently holding a pinned epoch (Reader handles not yet released).",
+		func() float64 { return float64(pub.Pinned()) })
+	reg.CounterFunc("rap_epoch_published_total", "Epochs cut since start.",
+		func() float64 { return float64(pub.Published()) })
+	reg.CounterFunc("rap_epoch_retired_total", "Superseded epochs whose reader count drained.",
+		func() float64 { return float64(pub.Retired()) })
 	in.ckDur = reg.Histogram("rap_checkpoint_seconds", "Wall time of one checkpoint write.", obs.DurationBuckets())
 	in.ckCutDur = reg.Duration("rap_checkpoint_cut_seconds",
 		"Checkpoint cut stage: wall time holding every shard lock to snapshot trees and positions.")
@@ -693,13 +674,13 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 		start = time.Now()
 	}
 
-	// Only a kept batch pays for stat deltas; the merge-batch /
-	// epoch-publish children exist to explain a slow apply in a recorded
-	// trace, not to census those events.
+	// Only a kept batch pays for stat deltas; the merge-batch child exists
+	// to explain a slow apply in a recorded trace, not to census merge
+	// batches.
 	sampled := b.head.Sampled()
 	var mergesBefore, mergesAfter uint64
 
-	published := in.engine.WithShard(q.idx, func(tr *core.Tree) {
+	in.engine.WithShard(q.idx, func(tr *core.Tree) {
 		if sampled {
 			mergesBefore = tr.Stats().MergeBatches
 		}
@@ -731,7 +712,7 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 	}
 	var qw, ap *span.Span
 	if in.opts.Tracer.Keep(b.head, end.Sub(b.enqueuedAt)) {
-		qw, ap = in.traceBatch(q, b, start, end, mergesAfter-mergesBefore, published)
+		qw, ap = in.traceBatch(q, b, start, end, mergesAfter-mergesBefore)
 	}
 	if in.aQueueWait == nil {
 		return
@@ -750,14 +731,12 @@ func (in *Ingestor) apply(q *shardQueue, b batch) {
 
 // traceBatch builds and ends a kept batch's spans: the ingest.batch root
 // from enqueue to the apply's end, a queue_wait child up to the drain, and
-// an apply child after it. Merge batches and the cadence publish happen
-// during the apply with no context of their own, so the merge batches a
-// sampled batch counted across it, and the publish its apply made, become
-// merge_batch and epoch_publish children of apply, covering the apply
-// window with the trigger named. Epochs cut by readers on other
-// goroutines are not the apply's. It returns the queue_wait and apply
-// spans, whose IDs the stage profiles keep as exemplars.
-func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, merges uint64, published bool) (qw, ap *span.Span) {
+// an apply child after it. Merge batches happen during the apply with no
+// context of their own, so the merge batches a sampled batch counted
+// across it become a merge_batch child of apply, covering the apply
+// window. It returns the queue_wait and apply spans, whose IDs the stage
+// profiles keep as exemplars.
+func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, merges uint64) (qw, ap *span.Span) {
 	tr := in.opts.Tracer
 	root := tr.StartRootFrom(b.head, "ingest.batch", b.enqueuedAt)
 	qw = tr.StartChildAt(root.Context(), "queue_wait", b.enqueuedAt)
@@ -768,11 +747,6 @@ func (in *Ingestor) traceBatch(q *shardQueue, b batch, drained, end time.Time, m
 		mb := tr.StartChildAt(ap.Context(), "merge_batch", drained)
 		mb.SetAttr("batches", strconv.FormatUint(merges, 10))
 		mb.EndAt(end)
-	}
-	if published {
-		ep := tr.StartChildAt(ap.Context(), "epoch_publish", drained)
-		ep.SetAttr("trigger", "offered-mass cadence")
-		ep.EndAt(end)
 	}
 	ap.EndAt(end)
 	root.SetAttr("source", b.src.spec.Name)
@@ -815,14 +789,6 @@ func (in *Ingestor) Run(ctx context.Context) error {
 	stopAdm := every(in.adm != nil, in.opts.AdmissionObserveEvery, func() {
 		in.adm.Observe(in.engine.Stats())
 	})
-	stopPub := every(in.opts.ReadSnapshots, snapshotMaxStale, func() {
-		// Publish only when events arrived since the last epoch: an idle
-		// stream keeps its (already current) epoch instead of burning
-		// clones on nothing.
-		if in.engine.PublishPending() > 0 {
-			in.engine.PublishNow()
-		}
-	})
 	stopAudit := every(in.aud != nil, in.opts.AuditEvery, in.auditPass)
 
 	readers.Wait()
@@ -833,12 +799,6 @@ func (in *Ingestor) Run(ctx context.Context) error {
 		close(q.ch)
 	}
 	workers.Wait()
-	stopPub()
-	if in.opts.ReadSnapshots {
-		// The queues are fully drained: publish one last epoch so readers
-		// see the complete stream.
-		in.engine.PublishNow()
-	}
 	stopAdm()
 	stopAudit()
 	if in.aud != nil {

@@ -15,21 +15,16 @@ import (
 // TestIngestSpans drives a traced pipeline end to end and checks the span
 // shape: every kept ingest.batch trace carries queue_wait and apply
 // children linked to its root, checkpoint traces carry cut and write
-// children, an epoch publish triggered inside an apply is attributed
-// to that batch's trace, and split/merge decisions are childless
-// zero-duration events.
+// children, and split/merge decisions are childless zero-duration events.
 func TestIngestSpans(t *testing.T) {
 	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 14, SlowThreshold: -1})
 	reg := obs.NewRegistry()
 	opts := testOptions(2)
 	opts.Metrics = reg
 	opts.Tracer = tr
-	opts.ReadSnapshots = true
 	opts.CheckpointDir = t.TempDir()
 	opts.BatchLen = 256
 
-	// Past core.DefaultPublishEvery, so the cadence publishes inside an
-	// apply.
 	vals := zipfVals(80_000, 7)
 	in, err := Open(opts, []SourceSpec{sliceSpec("traced", vals)})
 	if err != nil {
@@ -50,15 +45,11 @@ func TestIngestSpans(t *testing.T) {
 		}
 	}
 
-	var batches, checkpoints, publishes, events int
+	var batches, checkpoints, events int
 	for id, root := range roots {
 		kids := map[string]int{}
-		var applyID string
 		for _, k := range byParent[id] {
 			kids[k.Name]++
-			if k.Name == "apply" {
-				applyID = k.SpanID
-			}
 			if k.TraceID != root.TraceID {
 				t.Fatalf("child %s not in parent trace", k.Name)
 			}
@@ -68,11 +59,6 @@ func TestIngestSpans(t *testing.T) {
 			batches++
 			if kids["queue_wait"] != 1 || kids["apply"] != 1 {
 				t.Fatalf("batch trace children = %v", kids)
-			}
-			for _, g := range byParent[applyID] {
-				if g.Name == "epoch_publish" {
-					publishes++
-				}
 			}
 		case "checkpoint":
 			checkpoints++
@@ -96,10 +82,6 @@ func TestIngestSpans(t *testing.T) {
 	}
 	if events == 0 {
 		t.Fatal("no split/merge events recorded beside the metrics plane")
-	}
-	// 80k events at the default 64Ki cadence must publish inside an apply.
-	if publishes == 0 {
-		t.Fatal("no epoch_publish span attributed to a batch apply")
 	}
 
 	// The adaptive stage profiles saw the same batches the spans did.
@@ -180,7 +162,7 @@ func TestIngestSlowApplyPromoted(t *testing.T) {
 // TestBatchSpansAndAllocs is the deterministic gate on tracing and
 // buffer cost: spans are built per kept queue entry, never per event, and
 // the read buffers are recycled. 1M gzip values go through a 4-shard
-// pipeline with read snapshots on. With an unsampled tracer each entry
+// pipeline. With an unsampled tracer each entry
 // takes its head decision and builds no span; with every trace sampled
 // each entry builds exactly its three spans (ingest.batch, queue_wait,
 // apply). Open+Run allocates at most 0.002 times and 4 bytes per event,
@@ -196,11 +178,10 @@ func TestBatchSpansAndAllocs(t *testing.T) {
 	run := func(tr *span.Tracer) (allocs, bytes float64) {
 		t.Helper()
 		opts := Options{
-			Shards:        4,
-			BatchLen:      batchLen,
-			ReadSnapshots: true,
-			Tracer:        tr,
-			Logger:        quietLogger,
+			Shards:   4,
+			BatchLen: batchLen,
+			Tracer:   tr,
+			Logger:   quietLogger,
 		}
 		spec := GeneratorSource("gzip", func() trace.Source { return trace.Limit(gzip.Values(1, n), n) })
 		var before, after runtime.MemStats
@@ -258,49 +239,6 @@ func TestBatchSpansAndAllocs(t *testing.T) {
 	for _, name := range []string{"ingest.batch", "queue_wait", "apply"} {
 		if built[name] != entries {
 			t.Errorf("%d %s spans for %d sampled queue entries, want one each", built[name], name, entries)
-		}
-	}
-}
-
-// TestReaderCutsAreNotApplySpans: epochs that readers cut on other
-// goroutines while a batch applies are not that apply's publish. With
-// readers cutting throughout and fewer events than one publish cadence,
-// no apply published, so no batch trace may carry an epoch_publish span.
-func TestReaderCutsAreNotApplySpans(t *testing.T) {
-	tr := span.New(span.Options{SampleRate: 1, Capacity: 1 << 16, SlowThreshold: -1})
-	opts := testOptions(1)
-	opts.Tracer = tr
-	opts.ReadSnapshots = true
-	opts.BatchLen = 16
-	in, err := Open(opts, []SourceSpec{sliceSpec("traced", zipfVals(40_000, 7))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				in.Engine().Reader().Release()
-			}
-		}
-	}()
-	err = in.Run(context.Background())
-	close(stop)
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Engine().Publisher().Published(); got < 3 {
-		t.Fatalf("readers cut %d epochs; the test needs them cutting during applies", got)
-	}
-	for _, s := range tr.Spans() {
-		if s.Name == "epoch_publish" {
-			t.Fatalf("an apply below the publish cadence carries an epoch_publish span: %+v", s)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // TestReaderMatchesMergedTreeCut checks the differential oracle: once
-// publishes are quiesced, a pinned epoch and MergedTreeCut describe the
-// same profile — at one shard (the concurrent engine) and at four.
+// the feed stops, a pinned epoch and MergedTreeCut describe the same
+// profile — at one shard (the concurrent engine) and at four.
 func TestReaderMatchesMergedTreeCut(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
@@ -24,13 +24,11 @@ func TestReaderMatchesMergedTreeCut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.EnableReadSnapshots(1 << 10)
 			rng := stats.NewSplitMix64(42)
 			z := stats.NewZipf(rng, 1<<16, 1.2)
 			for i := 0; i < 80_000; i++ {
 				e.Add(uint64(z.Rank()))
 			}
-			e.PublishNow() // quiesced cut at the final state
 
 			ep := e.Reader()
 			defer ep.Release()
@@ -63,8 +61,9 @@ func TestReaderMatchesMergedTreeCut(t *testing.T) {
 }
 
 // TestEpochHammer drives per-feeder handles at full rate while queriers
-// pin epochs; run under -race this exercises the publish cadence, the
-// TryLock coalescing, and the pin/retire protocol together.
+// pin epochs, each cutting one when events are pending; run under -race
+// this exercises cuts racing feeders, cuts shared by waiting readers, and
+// the pin/retire protocol together.
 func TestEpochHammer(t *testing.T) {
 	const feeders = 4
 	const perFeeder = 30_000
@@ -72,7 +71,6 @@ func TestEpochHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(512) // aggressive cadence
 
 	var wg sync.WaitGroup
 	for f := 0; f < feeders; f++ {
@@ -96,10 +94,6 @@ func TestEpochHammer(t *testing.T) {
 			var lastSeq, lastCut uint64
 			for !stop.Load() {
 				ep := e.Reader()
-				if ep == nil {
-					t.Error("Reader returned nil with snapshots enabled")
-					return
-				}
 				if s := ep.Seq(); s < lastSeq {
 					t.Errorf("epoch seq went backwards: %d after %d", s, lastSeq)
 					ep.Release()
@@ -131,18 +125,18 @@ func TestEpochHammer(t *testing.T) {
 	}
 	pub := e.Publisher()
 	if pub.Published() < 2 {
-		t.Fatalf("only %d epochs published at cadence 512 over %d events", pub.Published(), feeders*perFeeder)
+		t.Fatalf("readers cut only %d epochs over %d events", pub.Published(), feeders*perFeeder)
 	}
 	if pub.Pinned() != 0 {
 		t.Fatalf("%d pins leaked", pub.Pinned())
 	}
 }
 
-// TestQueryPathLockFree holds every shard mutex and the publish mutex,
-// then requires queries to still answer from the published epoch. With
-// nothing pending since the last cut, Reader answers too; with mass
-// pending, Reader must cut and so waits, but the unpinned queries still
-// answer from the current epoch.
+// TestQueryPathLockFree holds every shard mutex and the publish mutex.
+// With nothing pending since the last cut, every query, unpinned and
+// Reader, must still answer from the current epoch. With mass pending, an
+// unpinned query must cut, so it waits for the locks, then answers with
+// the pending mass included.
 func TestQueryPathLockFree(t *testing.T) {
 	for _, pending := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pending=%v", pending), func(t *testing.T) {
@@ -153,37 +147,55 @@ func TestQueryPathLockFree(t *testing.T) {
 			for i := uint64(0); i < 10_000; i++ {
 				e.Add(i % 1000)
 			}
-			e.EnableReadSnapshots(1 << 16)
+			e.PublishNow()
 			if pending {
 				for i := uint64(0); i < 100; i++ {
 					e.Add(i)
 				}
-				if e.PublishPending() == 0 {
+				if e.pubPend.Load() == 0 {
 					t.Fatal("no mass pending")
 				}
 			}
+			want := e.N()
 
-			for i := range e.shards {
-				e.shards[i].mu.Lock()
-				defer e.shards[i].mu.Unlock()
+			for _, sh := range e.shards {
+				sh.mu.Lock()
 			}
 			e.pubMu.Lock()
-			defer e.pubMu.Unlock()
+			unlocked := false
+			unlock := func() {
+				if unlocked {
+					return
+				}
+				unlocked = true
+				e.pubMu.Unlock()
+				for _, sh := range e.shards {
+					sh.mu.Unlock()
+				}
+			}
+			defer unlock()
 
-			done := make(chan struct{})
+			highs := make(chan uint64, 1)
 			go func() {
-				defer close(done)
-				e.Estimate(0, 1<<16)
-				e.EstimateBounds(0, 1<<16)
-				e.HotRanges(0.01)
+				_, high := e.EstimateBounds(0, 1<<16-1)
 				if !pending {
+					e.Estimate(0, 1<<16-1)
+					e.HotRanges(0.01)
 					ep := e.Reader()
 					ep.Stats()
 					ep.Release()
 				}
+				highs <- high
 			}()
+			if pending {
+				waitParked(t, 1) // the query waits for the locks to cut
+				unlock()
+			}
 			select {
-			case <-done:
+			case high := <-highs:
+				if high != want {
+					t.Fatalf("full-universe high %d, engine N %d", high, want)
+				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("query blocked on an engine lock: read path is not lock-free")
 			}
@@ -191,9 +203,10 @@ func TestQueryPathLockFree(t *testing.T) {
 	}
 }
 
-// TestReaderReadsItsWrites: with no PublishNow and a cadence far beyond
-// the data, a Reader taken after any mutation returns must hold all of
-// it, at one shard and at four, through every way mass reaches a shard.
+// TestReaderReadsItsWrites: with no PublishNow, a query made after any
+// mutation returns must hold all of it, at one shard and at four, through
+// every way mass reaches a shard. The unpinned queries run first, so they
+// cannot reuse the Reader check's cut.
 func TestReaderReadsItsWrites(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
@@ -201,12 +214,18 @@ func TestReaderReadsItsWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.EnableReadSnapshots(0)
 			check := func(what string) {
 				t.Helper()
+				want := e.N()
+				if got := e.Estimate(0, 1<<16-1); got != want {
+					t.Fatalf("after %s: full-universe Estimate %d, engine N %d", what, got, want)
+				}
+				if _, high := e.EstimateBounds(0, 1<<16-1); high != want {
+					t.Fatalf("after %s: full-universe EstimateBounds high %d, engine N %d", what, high, want)
+				}
 				ep := e.Reader()
 				defer ep.Release()
-				if got, want := ep.CutN(), e.N(); got != want || ep.Tree().N() != want {
+				if got := ep.CutN(); got != want || ep.Tree().N() != want {
 					t.Fatalf("after %s: Reader cut %d (tree %d), engine N %d", what, got, ep.Tree().N(), want)
 				}
 			}
@@ -215,7 +234,25 @@ func TestReaderReadsItsWrites(t *testing.T) {
 				e.AddN(rng.Uint64n(1<<16), 1+rng.Uint64n(5))
 				check("AddN")
 			}
+			for i := 0; i < 10; i++ {
+				e.Add(rng.Uint64n(1 << 16))
+				check("Add")
+			}
+			points := make([]uint64, 32)
+			for i := 0; i < 10; i++ {
+				for j := range points {
+					points[j] = rng.Uint64n(1 << 16)
+				}
+				e.AddBatch(points)
+				check("AddBatch")
+			}
 			h := e.Handle()
+			for i := 0; i < 10; i++ {
+				h.AddN(rng.Uint64n(1<<16), 1+rng.Uint64n(5))
+				check("Handle.AddN")
+				h.AddBatch(points[:1+i])
+				check("Handle.AddBatch")
+			}
 			samples := make([]core.Sample, 64)
 			for i := 0; i < 20; i++ {
 				for j := range samples {
@@ -252,6 +289,14 @@ func TestReaderReadsItsWrites(t *testing.T) {
 			}
 			e.AdoptShard(k-1, donor)
 			check("AdoptShard")
+			other := core.MustNew(testConfig())
+			for j := uint64(0); j < 700; j++ {
+				other.AddN(j%131, 2)
+			}
+			if err := e.Merge(other); err != nil {
+				t.Fatal(err)
+			}
+			check("Merge")
 		})
 	}
 }
@@ -265,7 +310,6 @@ func TestReaderReadsItsWritesUnderAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(0)
 	gates := admit.New(admit.Options{Seed: 1}).Gates(cfg.UniverseBits, e.Shards())
 	e.SetShardAdmitters(func(i int) core.Admitter { return gates[i] })
 	rng := stats.NewSplitMix64(9)
@@ -319,7 +363,6 @@ func TestReadersShareCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(1 << 40) // no cadence publishes: every cut is counted here
 	p := e.Publisher()
 
 	var stop atomic.Bool
@@ -339,7 +382,7 @@ func TestReadersShareCut(t *testing.T) {
 		stop.Store(true)
 		fwg.Wait()
 	}()
-	for e.PublishPending() == 0 {
+	for e.pubPend.Load() == 0 {
 		runtime.Gosched()
 	}
 
@@ -357,7 +400,7 @@ func TestReadersShareCut(t *testing.T) {
 	}
 	waitParked(t, readers)
 	before := p.Published()
-	e.publishInto(p)
+	e.publishInto()
 	// Mass credited after that cut: without sharing, every parked reader
 	// would find it pending and cut again.
 	e.AddN(1, 1)
@@ -383,13 +426,12 @@ func TestReaderWaitsForCutInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(0)
 	e.AddN(1, 5) // the first round-robin pick: shard 0
 	blocked := e.shards[1]
 	blocked.mu.Lock() // the first reader's cut stalls at shard 1
 	got := make(chan *core.Epoch, 2)
 	go func() { got <- e.Reader() }()
-	for e.PublishPending() != 0 {
+	for e.pubPend.Load() != 0 {
 		runtime.Gosched() // until that cut has begun
 	}
 	go func() { got <- e.Reader() }()
@@ -404,19 +446,19 @@ func TestReaderWaitsForCutInFlight(t *testing.T) {
 	}
 }
 
-// TestEpochRecycleHammer runs feeders and cadence publishes beside two
-// kinds of reader while retired epochs donate their trees to later cuts.
-// Pinned readers require their epoch frozen until Release; Current
-// callers, whose epochs are never recycled, re-query theirs after 100
-// later publishes. Run under -race: a tree recycled while still readable
-// races its new cut's copy.
+// TestEpochRecycleHammer runs feeders beside two kinds of reader while
+// retired epochs donate their trees to later cuts. Pinned readers cut
+// through Reader and require their epoch frozen until Release; gauge
+// readers pin the current epoch without cutting, as the rap_epoch_*
+// gauges do, and require it whole and no older than the last one they
+// saw. Run under -race: a tree recycled while still readable races its
+// new cut's copy.
 func TestEpochRecycleHammer(t *testing.T) {
 	const feeders, perFeeder = 3, 32_000
 	e, err := New(testConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(256)
 	p := e.Publisher()
 
 	var fwg sync.WaitGroup
@@ -456,18 +498,17 @@ func TestEpochRecycleHammer(t *testing.T) {
 		}()
 		go func() {
 			defer rwg.Done()
+			var lastSeq uint64
 			for !stop.Load() {
-				ep := p.Current()
-				l1, h1 := ep.EstimateBounds(0, 1<<12)
-				for target := ep.Seq() + 100; p.Seq() < target && !stop.Load(); {
-					runtime.Gosched()
+				ep := p.Acquire()
+				if ep.Seq() < lastSeq {
+					t.Errorf("gauge read epoch %d after %d", ep.Seq(), lastSeq)
 				}
-				if l2, h2 := ep.EstimateBounds(0, 1<<12); l1 != l2 || h1 != h2 {
-					t.Errorf("epoch %d from Current moved by seq %d: (%d,%d) -> (%d,%d)", ep.Seq(), p.Seq(), l1, h1, l2, h2)
+				lastSeq = ep.Seq()
+				if _, high := ep.EstimateBounds(0, 1<<16-1); ep.N() != ep.Tree().N() || high != ep.N() {
+					t.Errorf("gauge read epoch %d: N %d, tree N %d, full-universe high %d", ep.Seq(), ep.N(), ep.Tree().N(), high)
 				}
-				if ep.N() != ep.Tree().N() {
-					t.Errorf("epoch %d from Current: N %d, tree N %d", ep.Seq(), ep.N(), ep.Tree().N())
-				}
+				ep.Release()
 			}
 		}()
 	}
@@ -500,7 +541,6 @@ func TestRestoreAndAdoptShardRepublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.EnableReadSnapshots(1 << 20) // cadence far beyond the data: only explicit republish paths fire
 	if err := e2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -528,37 +568,56 @@ func TestRestoreAndAdoptShardRepublish(t *testing.T) {
 }
 
 // TestPublishesPerMillionEvents is the deterministic gate on publish
-// work. At the default cadence an engine publishes one epoch per
-// core.DefaultPublishEvery offered events, whichever shard they land on:
-// 2M events in 256-event chunks through one handle of a 4-shard engine
-// publish exactly 2,000,000 / 65,536 = 30 epochs after the initial one.
-// Each publish clones every shard holding mass and merges all but the
-// first clone into it, so a cadence that fires early multiplies the
-// engine's per-event cost.
+// work: epochs are cut by reads, never by ingest. 2M events in 256-event
+// chunks through one handle of a 4-shard engine, with no reader, publish
+// nothing after the initial epoch. Fed again with a read after every 64Ki
+// events, a Reader and then an unpinned EstimateBounds, the engine cuts
+// exactly once per read point: the first read cuts the pending events and
+// the second finds nothing pending. Each cut clones every shard holding
+// mass and merges all but the first clone into it, so a cut that ingest
+// makes, or one a read makes with nothing pending, multiplies the
+// engine's cost.
 func TestPublishesPerMillionEvents(t *testing.T) {
-	const n, chunk = 2_000_000, 256
+	const n, chunk, readEvery = 2_000_000, 256, 1 << 16
 	e, err := New(core.DefaultConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(0)
 	pub := e.Publisher()
-	initial := pub.Published()
+	if got := pub.Published(); got != 1 {
+		t.Fatalf("%d epochs published by New, want the initial one", got)
+	}
 	z := stats.NewZipf(stats.NewSplitMix64(1), 1<<20, 1.2)
 	h := e.Handle()
 	samples := make([]core.Sample, chunk)
-	for fed := 0; fed < n; fed += chunk {
-		c := samples[:min(chunk, n-fed)]
-		for i := range c {
-			c[i] = core.Sample{Value: uint64(z.Rank()), Weight: 1}
+	feed := func(read bool) (reads uint64) {
+		for fed := 0; fed < n; fed += chunk {
+			c := samples[:min(chunk, n-fed)]
+			for i := range c {
+				c[i] = core.Sample{Value: uint64(z.Rank()), Weight: 1}
+			}
+			h.AddSamples(c)
+			if read && (fed+len(c))%readEvery == 0 {
+				e.Reader().Release()
+				e.EstimateBounds(0, 1<<20)
+				reads++
+			}
 		}
-		h.AddSamples(c)
+		return reads
 	}
+	feed(false)
 	if got := e.N(); got != n {
 		t.Fatalf("N = %d, want %d", got, n)
 	}
-	want := uint64(n / core.DefaultPublishEvery)
-	if got := pub.Published() - initial; got != want {
-		t.Fatalf("%d publishes after the initial epoch for %d events, want %d", got, n, want)
+	if got := pub.Published(); got != 1 {
+		t.Fatalf("%d publishes after the initial epoch for %d events with no reader, want 0", got-1, n)
+	}
+	before := pub.Published()
+	reads := feed(true)
+	if reads != n/readEvery {
+		t.Fatalf("%d read points, want %d", reads, n/readEvery)
+	}
+	if got := pub.Published() - before; got != reads {
+		t.Fatalf("%d cuts for %d read points, want one each", got, reads)
 	}
 }

@@ -38,21 +38,20 @@ var ErrShardCount = errors.New("shard: snapshot shard count mismatch")
 // Engine is a sharded RAP profiler. Construction parameters are fixed for
 // the engine's lifetime; all methods are safe for concurrent use.
 //
-// With EnableReadSnapshots the engine publishes immutable merged clones of
-// all shards as Epochs: Reader cuts one as of its call, and Estimate,
-// EstimateBounds, and HotRanges answer from the current epoch with zero
-// lock acquisitions, so those queries never contend with ingest.
+// Every query reads an Epoch, an immutable merged copy of all shards:
+// Reader cuts one as of its call when events arrived since the current
+// one, and Estimate, EstimateBounds, and HotRanges answer through Reader.
+// With nothing pending a query takes no lock at all.
 type Engine struct {
 	cfg    core.Config
 	shards []*treeShard
 	next   atomic.Uint64 // round-robin cursor for Handle and Add; see pick
 
-	// Epoch read path. pub is nil until EnableReadSnapshots. pubMu
-	// serializes cuts; pubPend counts offered events since the last cut
-	// began. cutsBegun and cutsDone count cuts at their start and after
-	// their publish, so they differ while one is in flight.
-	pub       atomic.Pointer[core.EpochPublisher]
-	pubEvery  atomic.Uint64
+	// Epoch read path. pubMu serializes cuts; pubPend counts offered
+	// events since the last cut began. cutsBegun and cutsDone count cuts at
+	// their start and after their publish, so they differ while one is in
+	// flight.
+	pub       *core.EpochPublisher
 	pubPend   atomic.Uint64
 	pubMu     sync.Mutex
 	cutsBegun atomic.Uint64
@@ -70,9 +69,9 @@ type treeShard struct {
 	adm   core.Admitter // reinstalled like the tap; see SetShardAdmitters
 }
 
-// New builds an engine with k shards over cfg. k <= 0 selects
-// runtime.GOMAXPROCS(0), the number of feeders that can actually run in
-// parallel.
+// New builds an engine with k shards over cfg and publishes its initial,
+// empty epoch. k <= 0 selects runtime.GOMAXPROCS(0), the number of feeders
+// that can actually run in parallel.
 func New(cfg core.Config, k int) (*Engine, error) {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
@@ -89,6 +88,8 @@ func New(cfg core.Config, k int) (*Engine, error) {
 		}
 		e.shards[i] = &treeShard{tree: t}
 	}
+	e.pub = core.NewEpochPublisher()
+	e.publishInto()
 	return e, nil
 }
 
@@ -134,9 +135,8 @@ func (h *Handle) Add(p uint64) { h.AddN(p, 1) }
 func (h *Handle) AddN(p uint64, weight uint64) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddN(p, weight)
-	due := h.eng.credit(weight)
+	h.eng.credit(weight)
 	h.sh.mu.Unlock()
-	h.eng.publishIfDue(due)
 }
 
 // AddBatch records a run of points under one lock acquisition, with
@@ -144,9 +144,8 @@ func (h *Handle) AddN(p uint64, weight uint64) {
 func (h *Handle) AddBatch(points []uint64) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddBatch(points)
-	due := h.eng.credit(uint64(len(points)))
+	h.eng.credit(uint64(len(points)))
 	h.sh.mu.Unlock()
-	h.eng.publishIfDue(due)
 }
 
 // AddSamples records a chunk of weighted events under one lock
@@ -155,9 +154,8 @@ func (h *Handle) AddBatch(points []uint64) {
 func (h *Handle) AddSamples(samples []core.Sample) {
 	h.sh.mu.Lock()
 	h.sh.tree.AddSamples(samples)
-	due := h.eng.credit(uint64(len(samples)))
+	h.eng.credit(uint64(len(samples)))
 	h.sh.mu.Unlock()
-	h.eng.publishIfDue(due)
 }
 
 // Add records one occurrence of p on a round-robin shard. Handle-free
@@ -171,9 +169,8 @@ func (e *Engine) AddN(p uint64, weight uint64) {
 	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddN(p, weight)
-	due := e.credit(weight)
+	e.credit(weight)
 	sh.mu.Unlock()
-	e.publishIfDue(due)
 }
 
 // AddBatch records a batch of points on one round-robin shard under a
@@ -182,9 +179,8 @@ func (e *Engine) AddBatch(points []uint64) {
 	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddBatch(points)
-	due := e.credit(uint64(len(points)))
+	e.credit(uint64(len(points)))
 	sh.mu.Unlock()
-	e.publishIfDue(due)
 }
 
 // AddSamples records a chunk of weighted events on one round-robin shard
@@ -193,80 +189,47 @@ func (e *Engine) AddSamples(samples []core.Sample) {
 	sh := e.pick()
 	sh.mu.Lock()
 	sh.tree.AddSamples(samples)
-	due := e.credit(uint64(len(samples)))
+	e.credit(uint64(len(samples)))
 	sh.mu.Unlock()
-	e.publishIfDue(due)
 }
 
 // WithShard runs fn on shard i's tree with that shard's lock held. It is
 // the embedding hook internal/ingest builds its batch appliers and
-// consistent checkpoints on. fn must not call back into the engine. It
-// reports whether the mass fn added lapsed the publish cadence and this
-// call published an epoch.
-func (e *Engine) WithShard(i int, fn func(t *core.Tree)) (published bool) {
+// consistent checkpoints on. fn must not call back into the engine.
+func (e *Engine) WithShard(i int, fn func(t *core.Tree)) {
 	sh := e.shards[i]
 	sh.mu.Lock()
 	before := sh.tree.N() + sh.tree.UnadmittedN()
 	fn(sh.tree)
-	// Direct-shard mutators (the ingest apply path) must still credit the
-	// publish cadence; the offered-mass delta is read under the same lock
-	// as the mutation, so the accounting is exact.
-	due := false
+	// Mass a direct-shard mutator (the ingest apply path) offered is read
+	// under the same lock as the mutation, so the next Reader cuts it.
 	if after := sh.tree.N() + sh.tree.UnadmittedN(); after > before {
-		due = e.credit(after - before)
+		e.credit(after - before)
 	}
 	sh.mu.Unlock()
-	return e.publishIfDue(due)
 }
 
-// EnableReadSnapshots switches the engine's query methods to the epoch
-// read path. Reader cuts a fresh epoch whenever offered mass has arrived
-// since the current one, so a pinned answer describes the stream as of
-// the call. Every `every` offered events (0 selects
-// core.DefaultPublishEvery) the goroutine that lapsed the cadence, usually
-// an ingesting one, also publishes a cut, and Estimate/EstimateBounds/
-// HotRanges answer from the latest epoch with zero lock acquisitions. A
-// cut copies each shard holding any mass under that shard's lock only —
-// the first into the tree of a retired epoch when one is spare, so it
-// allocates nothing once the slabs fit — and merges the later copies into
-// the first. Idempotent; the first call publishes an initial epoch so
-// readers never observe an empty window. Deployments without a steady
-// event flow should also call PublishNow on a timer to bound the
-// wall-clock staleness of the unpinned queries (the ingest pipeline does
-// this).
-func (e *Engine) EnableReadSnapshots(every uint64) {
-	if every == 0 {
-		every = core.DefaultPublishEvery
-	}
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	if e.pub.Load() != nil {
-		return
-	}
-	e.pubEvery.Store(every)
-	p := core.NewEpochPublisher()
-	e.publishInto(p)
-	e.pub.Store(p)
-}
+// EnableReadSnapshots does nothing: every engine reads through epochs.
+//
+// Deprecated: the epoch read path is always on and has no publish cadence.
+func (e *Engine) EnableReadSnapshots(every uint64) {}
 
-// Publisher returns the epoch publisher, or nil when read snapshots are
-// disabled. Intended for observability (epoch metrics) and tests.
-func (e *Engine) Publisher() *core.EpochPublisher { return e.pub.Load() }
+// Publisher returns the engine's epoch publisher, for observability (epoch
+// metrics) and tests.
+func (e *Engine) Publisher() *core.EpochPublisher { return e.pub }
 
 // Reader returns a pinned consistent epoch for multi-query consistency:
 // every query on the returned Epoch describes one merged cut of the
 // whole engine, taken no earlier than the call, so it holds every event
-// whose Add returned before it. The caller must Release it. When offered
-// mass has arrived since the current epoch, Reader cuts a fresh one under
-// the publish mutex, unless a cut that began after the call has already
-// done so, in which case readers waiting behind it share it. When read
-// snapshots are disabled this degrades to a detached MergedTreeCut —
-// same API, one extra merge.
+// whose Add returned before it. The caller must Release it. With nothing
+// offered since the current epoch began, Reader pins it without taking a
+// lock. Otherwise it cuts a fresh one under the publish mutex, unless a
+// cut that began after the call has already done so, in which case
+// readers waiting behind it share it. A cut copies each shard holding any
+// mass under that shard's lock only — the first into the tree of a
+// retired epoch when one is spare, so it allocates nothing once the slabs
+// fit — and merges the later copies into the first.
 func (e *Engine) Reader() *core.Epoch {
-	p := e.pub.Load()
-	if p == nil {
-		return core.NewDetachedEpoch(e.MergedTreeCut(nil))
-	}
 	// Order matters: a cut resets pubPend only after counting itself in
 	// cutsBegun, and counts itself in cutsDone only after its publish. So
 	// pubPend == 0 with no cut in flight means the current epoch holds
@@ -277,79 +240,38 @@ func (e *Engine) Reader() *core.Epoch {
 	if pending || arrived != e.cutsDone.Load() {
 		e.pubMu.Lock()
 		if e.cutsBegun.Load() == arrived && e.pubPend.Load() > 0 {
-			e.publishInto(p)
+			e.publishInto()
 		}
 		e.pubMu.Unlock()
 	}
-	return p.Acquire()
+	return e.pub.Acquire()
 }
 
-// credit counts w offered events toward the publish cadence and reports
-// whether the cadence has lapsed. The caller holds the lock of the shard
-// that took the events, so whoever observes them through that lock (a
-// ledger read, a checkpoint) also finds them pending, and the next Reader
-// cuts them.
-func (e *Engine) credit(w uint64) bool {
-	if e.pub.Load() == nil {
-		return false
-	}
-	return e.pubPend.Add(w) >= e.pubEvery.Load()
-}
+// credit counts w offered events as pending for the next cut. The caller
+// holds the lock of the shard that took the events, so whoever observes
+// them through that lock (a ledger read, a checkpoint) also finds them
+// pending, and the next Reader cuts them.
+func (e *Engine) credit(w uint64) { e.pubPend.Add(w) }
 
-// publishIfDue publishes a fresh epoch when credit reported the cadence
-// lapsed, and reports whether it did. The caller has released its shard
-// lock: a cut takes every shard's. TryLock keeps ingest from convoying on
-// the publish mutex: whoever loses the race just keeps ingesting, and the
-// pending counter carries over.
-func (e *Engine) publishIfDue(due bool) bool {
-	if !due || !e.pubMu.TryLock() {
-		return false
-	}
-	defer e.pubMu.Unlock()
-	if e.pubPend.Load() < e.pubEvery.Load() {
-		return false // raced: another cut already took this window
-	}
-	e.publishInto(e.pub.Load())
-	return true
-}
-
-// PublishNow unconditionally publishes a fresh epoch (no-op when read
-// snapshots are disabled). Timers use it to bound wall-clock staleness
-// on idle streams; Restore and AdoptShard use it so epoch readers never
-// keep serving a replaced profile.
+// PublishNow cuts and publishes a fresh epoch whether or not events are
+// pending. Restore and AdoptShard use it so epoch readers never keep
+// serving a replaced profile.
 func (e *Engine) PublishNow() {
-	p := e.pub.Load()
-	if p == nil {
-		return
-	}
 	e.pubMu.Lock()
 	defer e.pubMu.Unlock()
-	e.publishInto(p)
+	e.publishInto()
 }
-
-// PublishPending reports the offered events credited since the last
-// publish (0 when read snapshots are disabled). A staleness timer can
-// skip PublishNow when nothing arrived.
-func (e *Engine) PublishPending() uint64 { return e.pubPend.Load() }
 
 // publishInto cuts and publishes one merged epoch (see union), copying the
 // first populated shard into the publisher's spare tree. Callers hold
-// pubMu, so epoch sequence numbers and cuts are monotone in publish
-// order. pubPend is reset after the cut is counted as begun and before
-// any shard is read; see Reader for why.
-func (e *Engine) publishInto(p *core.EpochPublisher) {
+// pubMu (or, in New, own the engine), so epoch sequence numbers and cuts
+// are monotone in publish order. pubPend is reset after the cut is counted
+// as begun and before any shard is read; see Reader for why.
+func (e *Engine) publishInto() {
 	e.cutsBegun.Add(1)
 	e.pubPend.Store(0)
-	p.Publish(e.union(false, p.Spare()))
+	e.pub.Publish(e.union(false, e.pub.Spare()))
 	e.cutsDone.Add(1)
-}
-
-// republish refreshes the current epoch after a wholesale tree swap
-// (Restore, AdoptShard); no-op when read snapshots are disabled.
-func (e *Engine) republish() {
-	if e.pub.Load() != nil {
-		e.PublishNow()
-	}
 }
 
 // union builds the merged view of every shard: a clone of the first shard
@@ -407,50 +329,30 @@ func (e *Engine) union(held bool, spare *core.Tree) *core.Tree {
 func (e *Engine) MergedTree() *core.Tree { return e.union(false, nil) }
 
 // Estimate returns the lower-bound estimate for [lo, hi] over the merged
-// view. The undershoot is at most eps*N() for tracked ranges. With read
-// snapshots enabled it answers from the current epoch with zero lock
-// acquisitions (the lower bound stays valid for the live stream: shards
-// only grow); otherwise it builds a fresh merged view.
+// view, read from an epoch as of the call (see Reader). The undershoot is
+// at most eps*N() for tracked ranges.
 func (e *Engine) Estimate(lo, hi uint64) uint64 {
-	if ep := e.acquire(); ep != nil {
-		defer ep.Release()
-		return ep.Estimate(lo, hi)
-	}
-	return e.union(false, nil).Estimate(lo, hi)
+	ep := e.Reader()
+	defer ep.Release()
+	return ep.Estimate(lo, hi)
 }
 
 // EstimateBounds returns the bracketing estimates for [lo, hi] over the
-// merged view. With read snapshots enabled the bracket describes the
-// stream as of the current epoch's cut (including the unadmitted ledger
-// at that cut), answered lock-free.
+// merged view, read from an epoch as of the call (see Reader); the upper
+// bound includes the unadmitted ledger at that cut.
 func (e *Engine) EstimateBounds(lo, hi uint64) (low, high uint64) {
-	if ep := e.acquire(); ep != nil {
-		defer ep.Release()
-		return ep.EstimateBounds(lo, hi)
-	}
-	return e.union(false, nil).EstimateBounds(lo, hi)
+	ep := e.Reader()
+	defer ep.Release()
+	return ep.EstimateBounds(lo, hi)
 }
 
 // HotRanges reports the ranges holding at least theta of the combined
-// stream, computed on the merged view so a range split across shards is
-// still found. Lock-free from the current epoch when read snapshots are
-// enabled.
+// stream, computed on an epoch as of the call (see Reader), so a range
+// split across shards is still found.
 func (e *Engine) HotRanges(theta float64) []core.HotRange {
-	if ep := e.acquire(); ep != nil {
-		defer ep.Release()
-		return ep.HotRanges(theta)
-	}
-	return e.union(false, nil).HotRanges(theta)
-}
-
-// acquire pins the current epoch for one unpinned query, without taking a
-// lock or cutting; nil when read snapshots are disabled. The pin keeps the
-// epoch's tree from being recycled while the query walks it.
-func (e *Engine) acquire() *core.Epoch {
-	if p := e.pub.Load(); p != nil {
-		return p.Acquire()
-	}
-	return nil
+	ep := e.Reader()
+	defer ep.Release()
+	return ep.HotRanges(theta)
 }
 
 // Merge folds a plain tree into one round-robin shard (see
@@ -461,15 +363,13 @@ func (e *Engine) Merge(other *core.Tree) error {
 	sh := e.pick()
 	sh.mu.Lock()
 	err := sh.tree.Merge(other)
-	due := false
 	if err == nil {
 		if sh.tap != nil {
 			sh.tap.TreeReplaced()
 		}
-		due = e.credit(other.N())
+		e.credit(other.N() + other.UnadmittedN())
 	}
 	sh.mu.Unlock()
-	e.publishIfDue(due)
 	return err
 }
 
@@ -734,7 +634,7 @@ func (e *Engine) Restore(data []byte) error {
 		sh.swap(trees[i])
 		sh.mu.Unlock()
 	}
-	e.republish()
+	e.PublishNow()
 	return nil
 }
 
@@ -746,7 +646,7 @@ func (e *Engine) AdoptShard(i int, t *core.Tree) {
 	sh.mu.Lock()
 	sh.swap(t)
 	sh.mu.Unlock()
-	e.republish()
+	e.PublishNow()
 }
 
 // swap installs t as the shard's tree with the shard's hooks, tap and

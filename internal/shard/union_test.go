@@ -108,7 +108,6 @@ func TestUnionMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					e.EnableReadSnapshots(0)
 					if gated {
 						gates := admit.New(admit.Options{Seed: 1}).Gates(cfg.UniverseBits, e.Shards())
 						e.SetShardAdmitters(func(i int) core.Admitter { return gates[i] })
@@ -175,12 +174,17 @@ func TestUnionMatchesReference(t *testing.T) {
 
 // TestPublishWork is the deterministic gate on one publish's cost: with
 // 3M gzip values on one shard of a 4-shard engine, a PublishNow makes at
-// most 2 allocations of at most 256 B in all once a retired epoch has
-// donated its tree. The publish copies the one populated shard into that
-// spare tree and merges nothing into it, so only the Epoch is new (1
-// allocation, 64 B). A fresh clone per publish read 3 allocations and
-// 41,536 B; merging every shard's clone into a fresh tree read about 3.4
-// arenas in 52 allocations.
+// most 2 allocations of at most 256 B in all once retired epochs have
+// donated trees the size of the cut. The publish copies the one populated
+// shard into that spare tree and merges nothing into it, so only the
+// Epoch is new (1 allocation, 64 B). The first two cuts after the feed
+// are warm-up: the initial epoch's empty tree and the first cut's fresh
+// clone become the spares that later cuts alternate between. Each
+// measured cut follows a pin and release of the current epoch, as the
+// rap_epoch_* gauges read it, which must not keep that epoch's tree from
+// the next cut. A fresh clone per publish read 3 allocations and 41,536
+// B; merging every shard's clone into a fresh tree read about 3.4 arenas
+// in 52 allocations.
 func TestPublishWork(t *testing.T) {
 	const n, chunk, reps = 3_000_000, 256, 20
 	gzip, err := workload.ByName("gzip")
@@ -191,7 +195,6 @@ func TestPublishWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableReadSnapshots(0)
 	h := e.Handle()
 	src := trace.Limit(gzip.Values(1, n), n)
 	buf := make([]trace.Event, chunk)
@@ -210,11 +213,14 @@ func TestPublishWork(t *testing.T) {
 		t.Fatalf("N = %d, want %d", got, n)
 	}
 	arena := e.Stats().ArenaBytes
+	e.PublishNow()
+	e.PublishNow()
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < reps; i++ {
+		e.Publisher().Acquire().Release() // a gauge read between cuts
 		e.PublishNow()
 	}
 	runtime.ReadMemStats(&after)

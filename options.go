@@ -11,15 +11,13 @@ type Option func(*builder)
 
 // builder accumulates options before validation.
 type builder struct {
-	cfg           Config
-	shards        int
-	concurrent    bool
-	sampleK       uint64
-	audit         *Auditor
-	admission     *Admission
-	readSnapshots bool
-	snapshotEvery uint64
-	errs          []error
+	cfg        Config
+	shards     int
+	concurrent bool
+	sampleK    uint64
+	audit      *Auditor
+	admission  *Admission
+	errs       []error
 }
 
 // WithUniverse sets the value universe to [0, size), rounded up to the
@@ -105,22 +103,12 @@ func WithSampling(k uint64) Option {
 	}
 }
 
-// WithReadSnapshots enables the epoch-published read path on the
-// concurrent and sharded engines: the writer publishes an immutable
-// snapshot of the profile every `every` offered events (0 selects the
-// default, 64Ki events), and Estimate/EstimateBounds/HotRanges answer
-// from the latest epoch with zero lock acquisitions — those queries never
-// contend with ingest, and lag the live stream by at most one cadence.
-// ReaderOf pins one epoch cut as of its call, for answers that are both
-// current and consistent across several queries. Only meaningful for
-// WithConcurrent and WithSharding — the single-goroutine and sampling
-// engines have no concurrent readers to decouple, so combining is
-// rejected.
+// WithReadSnapshots does nothing. The concurrent and sharded engines
+// always answer queries from an epoch cut as of the call.
+//
+// Deprecated: the epoch read path is always on and has no publish cadence.
 func WithReadSnapshots(every uint64) Option {
-	return func(b *builder) {
-		b.readSnapshots = true
-		b.snapshotEvery = every
-	}
+	return func(*builder) {}
 }
 
 // WithAudit wires the online accuracy self-audit into the engine New
@@ -232,13 +220,6 @@ func New(opts ...Option) (Profiler, error) {
 		if err := attachAudit(b.audit, p, cfg); err != nil {
 			return nil, err
 		}
-	}
-	if b.readSnapshots {
-		e, ok := p.(*Sharded)
-		if !ok {
-			return nil, fmt.Errorf("rap: WithReadSnapshots: engine %T has no concurrent read path to decouple; use WithConcurrent or WithSharding", p)
-		}
-		e.EnableReadSnapshots(b.snapshotEvery)
 	}
 	return p, nil
 }

@@ -31,9 +31,9 @@
 //
 // The ingest and query halves of that surface are the Writer and Reader
 // interfaces; Profiler is their (deprecated but fully supported) union.
-// With WithReadSnapshots the sharded engine (at any shard count) publishes
-// immutable epoch snapshots and serves Reader queries from them without
-// taking any locks; ReaderOf pins an Epoch cut as of the call for
+// The sharded engine (at any shard count) answers every Reader query from
+// an immutable epoch snapshot cut as of the call, which takes no lock when
+// no event arrived since the last cut; ReaderOf pins one Epoch for
 // multi-query consistency.
 //
 // Advanced callers can keep constructing engines directly from a Config
@@ -265,7 +265,7 @@ type Profiler interface {
 // cut served without locks. Obtain one from ReaderOf, Handle.Reader, or
 // Sharded.Reader; query it like any Reader; Release it when done. The
 // epoch and its Tree are valid until Release: a released epoch's storage
-// is reused by later cuts. See WithReadSnapshots.
+// is reused by later cuts.
 type Epoch = core.Epoch
 
 // EpochPublisher owns the epoch lifecycle of one engine (publish,
@@ -275,12 +275,11 @@ type EpochPublisher = core.EpochPublisher
 
 // ReaderOf returns a pinned consistent epoch for engines with a
 // consistent-cut read path. On *Sharded it is a cut as of the call,
-// holding every event whose Add returned before it: with
-// WithReadSnapshots a published epoch, cut afresh when events arrived
-// since the current one (readers waiting on one cut share it), otherwise
-// a one-off merged cut. On *Tree it is a detached clone. The caller must
-// Release the epoch. ok is false for engines without consistent cuts (the
-// sampling engine).
+// holding every event whose Add returned before it: the current epoch,
+// cut afresh when events arrived since it (readers waiting on one cut
+// share it). On *Tree it is a detached clone. The caller must Release the
+// epoch. ok is false for engines without consistent cuts (the sampling
+// engine).
 func ReaderOf(p Reader) (e *Epoch, ok bool) {
 	switch eng := p.(type) {
 	case *Sharded:
