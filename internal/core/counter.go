@@ -1,5 +1,10 @@
 package core
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Counters. A node's counter lives in the node itself: the 32-bit count
 // word holds the value while it is below 2^31, so on a stream of fewer
 // than 2^31 events no counter ever leaves its node. A counter that
@@ -8,6 +13,11 @@ package core
 // start-small, widen-on-overflow rule of SALSA and Counter Pools
 // (PAPERS.md) with one step instead of a ladder, since the inline word
 // costs no more than a reference to a pooled counter would.
+//
+// Counters saturate at 2^64-1 instead of wrapping, as the stream length
+// does: the weight past it is not counted, but no sum falls below a part
+// of it, so every lower and upper bound keeps its side. The check sits
+// only on the spill path; an inline add that would pass 2^31 spills first.
 //
 // Spilling changes representation, never values: estimates, snapshot
 // bytes and the unadmitted ledger are bit-identical to a tree that keeps
@@ -48,22 +58,33 @@ func (t *Tree) count(vi uint32) uint64 {
 }
 
 // addCount adds weight to slot vi's counter, spilling it when the sum
-// reaches 2^31, and returns the new value. It may grow the spill slab but
-// never the arena, so node pointers held by the caller stay valid.
+// reaches 2^31 and saturating it at 2^64-1, and returns the new value. It
+// may grow the spill slab but never the arena, so node pointers held by
+// the caller stay valid.
 func (t *Tree) addCount(vi uint32, weight uint64) uint64 {
 	v := &t.arena[vi]
 	if v.count&spillBit != 0 {
 		s := &t.spill[v.count&^spillBit]
-		*s += weight
+		*s = addSat(*s, weight)
 		return *s
 	}
-	nv := uint64(v.count) + weight
-	if nv < spillBit {
-		v.count = uint32(nv)
-	} else {
-		v.count = t.newCount(nv)
+	c := uint64(v.count)
+	if weight < spillBit-c { // c+weight stays inline and cannot wrap
+		v.count = uint32(c + weight)
+		return c + weight
 	}
+	nv := addSat(c, weight)
+	v.count = t.newCount(nv)
 	return nv
+}
+
+// addSat returns a+b, or 2^64-1 when the sum does not fit.
+func addSat(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return s
 }
 
 // setCount overwrites slot vi's counter with val: in place when the

@@ -500,3 +500,80 @@ func TestPackedWideSnapshotIdentity(t *testing.T) {
 		t.Fatal("restored snapshot differs from original")
 	}
 }
+
+// TestMassSaturates is the backstop against wrapped mass: weight past
+// 2^64-1 saturates the stream length, every counter, the unadmitted
+// ledger and every sum a query takes, so no upper bound falls below the
+// mass a tree holds. Before, AddN(1, 2^63), AddN(2, 2^63), AddN(3, 5) left
+// N = 5 and bounds [0, 5] on [0, 10]. Both counter layouts run it: the
+// inline tree spills the first big weight, the wide tree starts spilled.
+func TestMassSaturates(t *testing.T) {
+	const top = math.MaxUint64
+	for _, wide := range []bool{false, true} {
+		tr, err := newTree(DefaultConfig(), wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.AddN(1, 1<<63)
+		tr.AddN(2, 1<<63)
+		tr.AddN(3, 5)
+		check := func(when string, tr *Tree) {
+			t.Helper()
+			if tr.N() != top || tr.Total() != top {
+				t.Errorf("wide=%v %s: N %d, Total %d, want both 2^64-1", wide, when, tr.N(), tr.Total())
+			}
+			for _, q := range [][2]uint64{{0, top}, {0, 10}} {
+				low, high := tr.EstimateBounds(q[0], q[1])
+				if est := tr.Estimate(q[0], q[1]); high != top || low > high || est > high {
+					t.Errorf("wide=%v %s: [%d, %#x] reads Estimate %d, bounds [%d, %d], want the upper bound 2^64-1 and no more below it",
+						wide, when, q[0], q[1], est, low, high)
+				}
+			}
+		}
+		check("after the three adds", tr)
+
+		// A saturated tree has no further merge point: updates after it
+		// do not each run a merge batch.
+		batches := tr.Stats().MergeBatches
+		for p := range uint64(100) {
+			tr.AddN(p, 1)
+		}
+		if got := tr.Stats().MergeBatches; got != batches {
+			t.Errorf("wide=%v: 100 updates past saturation ran %d merge batches", wide, got-batches)
+		}
+
+		other := MustNew(DefaultConfig())
+		other.AddN(2, top)
+		if err := tr.Merge(other); err != nil {
+			t.Fatal(err)
+		}
+		check("after a Merge", tr)
+		if err := tr.UnmarshalBinary(mustMarshal(t, tr)); err != nil {
+			t.Fatal(err)
+		}
+		check("after a snapshot round trip", tr)
+	}
+
+	// Refused weight saturates the ledger, alone and through Merge.
+	refused := MustNew(DefaultConfig())
+	refused.SetAdmitter(&denyAll{})
+	refused.AddN(1, 1<<63)
+	refused.AddN(2, 1<<63)
+	if got := refused.UnadmittedN(); got != top {
+		t.Errorf("unadmitted %d, want 2^64-1", got)
+	}
+	if _, high := refused.EstimateBounds(0, 10); high != top {
+		t.Errorf("upper bound %d with a saturated ledger, want 2^64-1", high)
+	}
+	sum := MustNew(DefaultConfig())
+	sum.AddN(1, 7)
+	if err := sum.Merge(refused); err != nil {
+		t.Fatal(err)
+	}
+	if err := sum.Merge(refused); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.UnadmittedN(); got != top {
+		t.Errorf("merged unadmitted %d, want 2^64-1", got)
+	}
+}

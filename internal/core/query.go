@@ -68,7 +68,7 @@ func (t *Tree) subtreeSum(vi uint32) uint64 {
 	for i := 0; i < fan; i++ {
 		ci := v.childBase + uint32(i)
 		if !t.arena[ci].dead {
-			s += t.subtreeSum(ci)
+			s = addSat(s, t.subtreeSum(ci))
 		}
 	}
 	return s
@@ -99,7 +99,7 @@ func (t *Tree) EstimateBounds(lo, hi uint64) (low, high uint64) {
 		return 0, 0
 	}
 	low, high = t.estimate(0, 0, lo&t.mask, hi&t.mask)
-	return low, high + t.unadmitted
+	return low, addSat(high, t.unadmitted)
 }
 
 func (t *Tree) estimate(vi uint32, vlo, lo, hi uint64) (low, high uint64) {
@@ -127,8 +127,7 @@ func (t *Tree) estimate(vi uint32, vlo, lo, hi uint64) (low, high uint64) {
 		}
 		clo, _ := t.childBounds(vlo, v.plen, i)
 		cl, ch := t.estimate(ci, clo, lo, hi)
-		low += cl
-		high += ch
+		low, high = addSat(low, cl), addSat(high, ch)
 	}
 	return low, high
 }
@@ -180,7 +179,7 @@ func (t *Tree) hot(vi uint32, lo uint64, depth int, cut float64, out *[]HotRange
 			ci := v.childBase + uint32(i)
 			if !t.arena[ci].dead {
 				clo, _ := t.childBounds(lo, v.plen, i)
-				w += t.hot(ci, clo, depth+1, cut, out)
+				w = addSat(w, t.hot(ci, clo, depth+1, cut, out))
 			}
 		}
 	}

@@ -14,9 +14,9 @@ import (
 // exceed SplitThreshold() and both trees must hold the same splits and
 // nodes; after each operation their snapshots must match. Weights reach
 // 2^20, so n crosses the MinSplitCount guard and many floor steps; with
-// the top bit of the width byte set, some weights reach 2^64 and wrap n.
+// the top bit of the width byte set, some weights reach 2^64 and saturate n.
 // Clone, Merge and a snapshot round trip run between updates. The corpus
-// is (ε, guard and width/wrap choices, an 8-byte event seed), then one
+// is (ε, guard and width/huge-weight choices, an 8-byte event seed), then one
 // byte per operation.
 func FuzzSplitThreshold(f *testing.F) {
 	epsilons := []float64{0.5, 0.1, 0.01, 0.001}
@@ -25,8 +25,8 @@ func FuzzSplitThreshold(f *testing.F) {
 	ops := []byte{0, 0, 1, 0, 2, 0, 3, 0, 0x81, 0, 2, 3, 0}
 	for ei := range epsilons {
 		for gi := range guards {
-			for _, wrap := range []byte{0, 0x80} {
-				seed := binary.LittleEndian.AppendUint64([]byte{byte(ei), byte(gi), byte(ei+gi) | wrap}, uint64(ei*len(guards)+gi))
+			for _, huge := range []byte{0, 0x80} {
+				seed := binary.LittleEndian.AppendUint64([]byte{byte(ei), byte(gi), byte(ei+gi) | huge}, uint64(ei*len(guards)+gi))
 				f.Add(append(seed, ops...))
 			}
 		}
@@ -39,11 +39,11 @@ func FuzzSplitThreshold(f *testing.F) {
 		cfg := testConfig(widths[int(data[2]&0x7f)%len(widths)], 4, epsilons[int(data[0])%len(epsilons)])
 		cfg.MinSplitCount = guards[int(data[1])%len(guards)]
 		cfg.FirstMerge = 64
-		wrap := data[2]&0x80 != 0
+		huge := data[2]&0x80 != 0
 		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(data[3:11]))))
 		weight := func() uint64 {
 			switch r := rng.Intn(16); {
-			case wrap && r == 0:
+			case huge && r == 0:
 				return rng.Uint64() | 1
 			case r < 4:
 				return 1 + uint64(rng.Intn(1<<20))
