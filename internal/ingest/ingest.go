@@ -508,7 +508,7 @@ func (in *Ingestor) registerMetrics() {
 			treeStat(func(st core.Stats) float64 { return float64(st.Merges) }), labels...)
 		reg.CounterFunc(MetricTreeMergeBatches, "Batched merge passes run.",
 			treeStat(func(st core.Stats) float64 { return float64(st.MergeBatches) }), labels...)
-		reg.CounterFunc("rap_tree_descent_levels_total", "Tree levels walked by update descents below their start-table slot.",
+		reg.CounterFunc("rap_tree_descent_levels_total", "Tree levels walked by update descents below their start anchor.",
 			treeStat(func(st core.Stats) float64 { return float64(st.DescentLevels) }), labels...)
 		reg.GaugeFunc("rap_tree_nodes", "Live nodes in the shard tree.",
 			treeStat(func(st core.Stats) float64 { return float64(st.Nodes) }), labels...)
@@ -518,6 +518,8 @@ func (in *Ingestor) registerMetrics() {
 			treeStat(func(st core.Stats) float64 { return float64(st.MemoryBytes) }), labels...)
 		reg.GaugeFunc("rap_tree_arena_bytes", "Physical node-slab and spill-slab footprint of the shard tree, including growth slack.",
 			treeStat(func(st core.Stats) float64 { return float64(st.ArenaBytes) }), labels...)
+		reg.GaugeFunc("rap_tree_start_table_bytes", "Descent start table footprint of the shard tree, its rows and deep tier, outside the arena bytes.",
+			treeStat(func(st core.Stats) float64 { return float64(st.StartTableBytes) }), labels...)
 		reg.GaugeFunc("rap_tree_error_budget", "Current ε·n error budget of the shard tree, in events.",
 			treeStat(func(st core.Stats) float64 { return eps * float64(st.N) }), labels...)
 	}

@@ -58,6 +58,7 @@ func TestMetricsRegistration(t *testing.T) {
 	for _, want := range []string{
 		`rap_tree_splits_total{shard="0"}`,
 		`rap_tree_descent_levels_total{shard="0"}`,
+		`rap_tree_start_table_bytes{shard="1"}`,
 		`rap_tree_error_budget{shard="1"}`,
 		`rap_ingest_queue_depth{source="a"}`,
 		`rap_ingest_queue_capacity{source="b"}`,
